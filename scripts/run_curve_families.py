@@ -13,7 +13,6 @@ import numpy as np
 
 from iondeco import (
     TWO_PI_KHZ,
-    IntegratorConfig,
     PhysicalParams,
     ScatteringRates,
     SystemState,
@@ -34,8 +33,7 @@ def rates_from_sqrt(sqrt_2r1gl: float, sqrt_r2gl: float) -> ScatteringRates:
 def family(params, rate_pairs, t):
     columns = []
     for s1, s2 in rate_pairs:
-        ts = integrate_adiabatic(SystemState(), params, rates_from_sqrt(s1, s2),
-                                 IntegratorConfig(), t)
+        ts = integrate_adiabatic(SystemState(), params, rates_from_sqrt(s1, s2), t)
         columns.append(ts.p1)
     return np.column_stack(columns)
 

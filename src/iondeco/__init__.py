@@ -15,10 +15,10 @@ from .model import (
     steady_state,
 )
 from .dynamics import (
-    IntegratorConfig,
     SystemState,
     TimeSeries,
     derivative,
+    generator,
     integrate,
     integrate_adiabatic,
     integrate_effective_two_level,

@@ -31,14 +31,12 @@ from .errors import (
     OscillationUnresolved,
     OutOfRange,
     RegimeViolation,
-    StiffnessFailure,
 )
 from .fitting import effective_from_fit, fit_nutation
 from .model import TWO_PI_KHZ, effective_rates
 from .protocol import accumulate, run_trajectory, write_curve_csv, write_trajectories
 
 _NUMERICAL_ERRORS = (
-    StiffnessFailure,
     RegimeViolation,
     OscillationUnresolved,
     OutOfRange,
@@ -136,10 +134,9 @@ def _simulate_series(cfg: RunConfig):
     params = cfg.physical_params()
     rates = cfg.rates()
     proto = cfg.protocol_config()
-    integ = cfg.integrator_config()
     t_grid = np.arange(proto.n_max + 1) * proto.dt_unit
     run = integrate_adiabatic if cfg.model_variant() == "adiabatic" else integrate
-    series = run(cfg.initial_state(), params, rates, integ, t_grid)
+    series = run(cfg.initial_state(), params, rates, t_grid)
     return params, series
 
 
@@ -171,9 +168,8 @@ def cmd_trajectories(args) -> int:
     params = cfg.physical_params()
     rates = cfg.rates()
     proto = cfg.protocol_config()
-    integ = cfg.integrator_config()
     records = [
-        run_trajectory(params, rates, proto, k, integ, cfg.model_variant())
+        run_trajectory(params, rates, proto, k, cfg.model_variant())
         for k in range(proto.n_trajectories)
     ]
     curve = accumulate(records)
@@ -263,13 +259,16 @@ def cmd_fit(args) -> int:
 def cmd_design(args) -> int:
     cfg = _build_config(args)
     params = cfg.physical_params()
-    target = DesignTarget(
-        gamma_target=args.target_gamma_2pikhz * TWO_PI_KHZ,
-        Gamma_target=args.target_big_gamma_2pikhz * TWO_PI_KHZ,
-        i0_bounds=(0.0, args.i0_max),
-        b_bounds=(0.0, args.b_max_2pikhz * TWO_PI_KHZ),
-        optimize_b=args.optimize_b,
-    )
+    try:
+        target = DesignTarget(
+            gamma_target=args.target_gamma_2pikhz * TWO_PI_KHZ,
+            Gamma_target=args.target_big_gamma_2pikhz * TWO_PI_KHZ,
+            i0_bounds=(0.0, args.i0_max),
+            b_bounds=(0.0, args.b_max_2pikhz * TWO_PI_KHZ),
+            optimize_b=args.optimize_b,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         knobs = design_decoherence(target, params)
     except InfeasibleDesign as exc:
@@ -306,20 +305,24 @@ def cmd_design(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _build_config(args)
     path, _, valspec = args.axis.partition("=")
-    values = sorted(float(v) for v in valspec.split(",") if v.strip())
+    try:
+        values = sorted(float(v) for v in valspec.split(",") if v.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad --axis value: {exc}") from exc
     lines = [f"# {p}" for p in _provenance(cfg)]
     lines.append(f"# axis={path}")
+    rows = []
+    for value in values:
+        cfg.set_path(path, value)
+        params, series = _simulate_series(cfg)
+        # the hash of the config that produced this value's rows
+        lines.append(f"# config_hash[{value:.12g}]={cfg.hash()}")
+        rows += [f"{value:.12g},{row}" for row in _series_rows(params, series)]
     lines.append("axis_value,theta_rad,tau_s,p1,n0,n1,n2,n3")
     if not values:
         lines.append("# empty axis: config echo follows")
         lines += [f"# {line}" for line in cfg.serialize().splitlines()]
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    for value in values:
-        cfg.set_path(path, value)
-        params, series = _simulate_series(cfg)
-        lines += [f"{value:.12g},{row}" for row in _series_rows(params, series)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines + rows) + "\n", args.out)
     return 0
 
 

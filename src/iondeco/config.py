@@ -14,7 +14,7 @@ import math
 
 import yaml
 
-from .dynamics import IntegratorConfig, SystemState
+from .dynamics import SystemState
 from .errors import ConfigError
 from .model import TWO_PI_KHZ, PhysicalParams, ScatteringRates, scattering_rates
 from .protocol import DetectionModel, ProtocolConfig
@@ -28,7 +28,6 @@ DEFAULTS = {
         "delta_laser_2pikhz": 0.0,
         "b_field_2pikhz": 0.0,
         "gamma3_2pikhz": 18000.0,
-        "gamma_lph_2pikhz": 0.0,
         "gamma_ph_extra_2pikhz": 0.0,
         "beta1": 1.0 / 3.0,
         "beta2": 2.0 / 3.0,
@@ -59,15 +58,11 @@ DEFAULTS = {
         "threshold": 10,
     },
     "integrator": {
-        "method": "rk45",
         "model": "full",  # full | adiabatic
-        "dt_us": None,    # rk4 only
-        "rtol": 1e-8,
-        "atol": 1e-10,
     },
 }
 
-_STR_KEYS = {"detection.mode", "integrator.method", "integrator.model"}
+_STR_KEYS = {"detection.mode", "integrator.model"}
 _INT_KEYS = {"protocol.n_max", "protocol.n_trajectories", "protocol.seed",
              "detection.threshold"}
 
@@ -103,7 +98,10 @@ class RunConfig:
         elif loc in _INT_KEYS:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"'{loc}' must be an integer", location=loc)
-        elif value is not None and not isinstance(value, (int, float)):
+        elif value is None:
+            if DEFAULTS[section][key] is not None:
+                raise ConfigError(f"'{loc}' must be a number", location=loc)
+        elif not isinstance(value, (int, float)):
             raise ConfigError(f"'{loc}' must be a number", location=loc)
         self.data[section][key] = value
 
@@ -158,7 +156,6 @@ class RunConfig:
                 delta_laser=p["delta_laser_2pikhz"] * TWO_PI_KHZ,
                 zeeman_delta=p["b_field_2pikhz"] * TWO_PI_KHZ,
                 gamma3=p["gamma3_2pikhz"] * TWO_PI_KHZ,
-                gamma_lph=p["gamma_lph_2pikhz"] * TWO_PI_KHZ,
                 gamma_ph_extra=p["gamma_ph_extra_2pikhz"] * TWO_PI_KHZ,
                 beta1=p["beta1"],
                 beta2=p["beta2"],
@@ -179,12 +176,15 @@ class RunConfig:
         r2 = r["r2_2pikhz"] * TWO_PI_KHZ
         p1 = min(r1 / params.gamma3, 0.5)
         p2 = min(0.5 * r2 / params.gamma3, 0.5)
-        return ScatteringRates(r1=r1, r2=r2, p3_mean=(p2, p1, p2))
+        try:
+            return ScatteringRates(r1=r1, r2=r2, p3_mean=(p2, p1, p2))
+        except ValueError as exc:
+            raise ConfigError(str(exc), location="rates") from exc
 
     def initial_state(self) -> SystemState:
         ini = self.data["initial"]
         n0, n1 = ini["n0"], ini["n1"]
-        if n0 < 0 or n1 < 0 or abs(n0 + n1 - 1.0) > 1e-9:
+        if not (n0 >= 0 and n1 >= 0 and abs(n0 + n1 - 1.0) <= 1e-9):
             raise ConfigError("initial n0 + n1 must equal 1", location="initial")
         return SystemState(n0=n0, n1=n1)
 
@@ -211,18 +211,6 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc), location="protocol") from exc
-
-    def integrator_config(self) -> IntegratorConfig:
-        i = self.data["integrator"]
-        try:
-            return IntegratorConfig(
-                method=i["method"],
-                dt=None if i["dt_us"] is None else i["dt_us"] * 1e-6,
-                rtol=i["rtol"],
-                atol=i["atol"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), location="integrator") from exc
 
     def model_variant(self) -> str:
         m = self.data["integrator"]["model"]

@@ -32,8 +32,8 @@ class DesignTarget:
     optimize_b: bool = False  # 3-knob mode: pick B minimizing i0
 
     def __post_init__(self):
-        if self.gamma_target <= 0 or self.Gamma_target <= 0:
-            raise ValueError("targets must be positive")
+        if not (0 < self.gamma_target < math.inf and 0 < self.Gamma_target < math.inf):
+            raise ValueError("targets must be finite and positive")
         for name in ("i0_bounds", "alpha_bounds", "b_bounds"):
             lo, hi = getattr(self, name)
             if lo > hi:

@@ -1,4 +1,4 @@
-"""Time-domain integration of the driven four-level system.
+"""Time evolution of the driven four-level system.
 
 Three model variants:
 
@@ -12,6 +12,13 @@ Three model variants:
 
 State vector order is [u, v, n0, n1, n2, n3] with u = 2 Re rho01,
 v = 2 Im rho01 in the microwave rotating frame.
+
+Every variant is linear and time-invariant, dy/dt = A y, with A fixed by
+(params, rates).  Evolution on a uniform grid of step h is therefore exact:
+one propagator P = expm(A h) and one mat-vec per grid point (Moler & Van
+Loan, SIAM Rev. 45 (2003); Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31
+(2009)).  No eigendecomposition is used: A is defective at zero light and
+at Omega = 0.
 """
 
 from __future__ import annotations
@@ -19,12 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from .errors import RegimeViolation, StiffnessFailure
+from .errors import RegimeViolation
 from .model import PhysicalParams, ScatteringRates, light_flux, lorentzian
 
 _ADIABATIC_SATURATION_LIMIT = 0.1
+
+# Largest deviation of a grid step from uniform, relative to the step, on
+# top of the rounding of the time points themselves.
+_GRID_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,28 +67,6 @@ class SystemState:
 
 
 @dataclass(frozen=True)
-class IntegratorConfig:
-    """Integration method and tolerances.
-
-    method: "rk45" (adaptive, default), "radau" / "lsoda" (stiff),
-    "rk4" (fixed step, requires dt).
-    """
-
-    method: str = "rk45"
-    dt: float | None = None
-    rtol: float = 1e-8
-    atol: float = 1e-10
-
-    def __post_init__(self):
-        if self.method not in ("rk45", "rk4", "radau", "lsoda"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.method == "rk4" and not (self.dt and self.dt > 0):
-            raise ValueError("rk4 requires dt > 0")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-@dataclass(frozen=True)
 class TimeSeries:
     """Sampled solution: t of shape (n,), y of shape (n, 6)."""
 
@@ -96,109 +85,83 @@ class TimeSeries:
         return SystemState.from_vector(self.y[i])
 
 
-def derivative(
-    state: SystemState, params: PhysicalParams, rates: ScatteringRates
-) -> SystemState:
-    """Right-hand side of the four-level equations of motion.
+def generator(
+    params: PhysicalParams, rates: ScatteringRates, model: str = "full"
+) -> np.ndarray:
+    """Generator A of the equations of motion dy/dt = A y.
 
-    Microwave drive couples 0-1 only; light pumps 1 -> 3 at r1 and
-    2 -> 3 at r2; level 3 decays to 1 and 2 with branching beta1:beta2.
-    The 0-1 coherence decays at gamma_c = r1 + gamma_ph_extra, i.e. all
-    scattering out of state 1 carries full dephasing weight.
+    model "full": 6x6 on [u, v, n0, n1, n2, n3].  Microwave drive couples
+    0-1 only; light pumps 1 -> 3 at r1 and 2 -> 3 at r2; level 3 decays to
+    1 and 2 with branching beta1:beta2.  The 0-1 coherence decays at
+    gamma_c = r1 + gamma_ph_extra, i.e. all scattering out of state 1
+    carries full dephasing weight.
+
+    model "adiabatic": 5x5 on [u, v, n0, n1, n2], n3 eliminated: the
+    scattered flux r1*n1 + r2*n2 redistributes instantly.
     """
-    dy = _rhs_full(0.0, state.as_vector(), params, rates)
-    return SystemState.from_vector(dy)
-
-
-def _rhs_full(t, y, params: PhysicalParams, rates: ScatteringRates):
-    u, v, n0, n1, n2, n3 = y
     om = params.omega_mw
     dmw = params.delta_mw
     gc = rates.r1 + params.gamma_ph_extra
-    g3 = params.gamma3
-    return np.array(
-        [
-            -dmw * v - gc * u,
-            dmw * u + om * (n0 - n1) - gc * v,
-            -0.5 * om * v,
-            0.5 * om * v - rates.r1 * n1 + params.beta1 * g3 * n3,
-            -rates.r2 * n2 + params.beta2 * g3 * n3,
-            rates.r1 * n1 + rates.r2 * n2 - g3 * n3,
-        ]
-    )
+    r1, r2 = rates.r1, rates.r2
+    b1, b2 = params.beta1, params.beta2
+    if model == "full":
+        g3 = params.gamma3
+        return np.array(
+            [
+                [-gc, -dmw, 0.0, 0.0, 0.0, 0.0],
+                [dmw, -gc, om, -om, 0.0, 0.0],
+                [0.0, -0.5 * om, 0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.5 * om, 0.0, -r1, 0.0, b1 * g3],
+                [0.0, 0.0, 0.0, 0.0, -r2, b2 * g3],
+                [0.0, 0.0, 0.0, r1, r2, -g3],
+            ]
+        )
+    if model == "adiabatic":
+        return np.array(
+            [
+                [-gc, -dmw, 0.0, 0.0, 0.0],
+                [dmw, -gc, om, -om, 0.0],
+                [0.0, -0.5 * om, 0.0, 0.0, 0.0],
+                [0.0, 0.5 * om, 0.0, -r1 + b1 * r1, b1 * r2],
+                [0.0, 0.0, 0.0, b2 * r1, -r2 + b2 * r2],
+            ]
+        )
+    raise ValueError(f"unknown model variant {model!r}")
 
 
-def _rhs_adiabatic(t, y, params: PhysicalParams, rates: ScatteringRates):
-    # n3 eliminated: scattered flux r1*n1 + r2*n2 redistributes instantly.
-    u, v, n0, n1, n2 = y
-    om = params.omega_mw
-    dmw = params.delta_mw
-    gc = rates.r1 + params.gamma_ph_extra
-    flux = rates.r1 * n1 + rates.r2 * n2
-    return np.array(
-        [
-            -dmw * v - gc * u,
-            dmw * u + om * (n0 - n1) - gc * v,
-            -0.5 * om * v,
-            0.5 * om * v - rates.r1 * n1 + params.beta1 * flux,
-            -rates.r2 * n2 + params.beta2 * flux,
-        ]
-    )
-
-
-def _rk4_fixed(rhs, y0, t_grid, dt, args):
-    ys = np.empty((len(t_grid), len(y0)))
-    y = np.asarray(y0, dtype=float)
-    t = t_grid[0]
-    ys[0] = y
-    for i in range(1, len(t_grid)):
-        target = t_grid[i]
-        while t < target - 1e-15 * max(1.0, abs(target)):
-            h = min(dt, target - t)
-            k1 = rhs(t, y, *args)
-            k2 = rhs(t + h / 2, y + h / 2 * k1, *args)
-            k3 = rhs(t + h / 2, y + h / 2 * k2, *args)
-            k4 = rhs(t + h, y + h * k3, *args)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-        ys[i] = y
-        t = target
+def _propagate(A: np.ndarray, y0, t_grid: np.ndarray) -> np.ndarray:
+    """States expm(A t) @ y0 at the points of a uniform grid, shape (n, len(y0))."""
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ValueError("t_grid must be a non-empty 1-d array")
+    h = (t_grid[-1] - t_grid[0]) / max(t_grid.size - 1, 1)
+    rounding = 4 * np.finfo(float).eps * np.abs(t_grid).max()
+    if np.any(np.abs(np.diff(t_grid) - h) > _GRID_TOLERANCE * abs(h) + rounding):
+        raise ValueError("t_grid must be uniformly spaced")
+    ys = np.empty((t_grid.size, len(y0)))
+    ys[0] = expm(A * t_grid[0]) @ np.asarray(y0, dtype=float)
+    step = expm(A * h)
+    for i in range(1, t_grid.size):
+        ys[i] = step @ ys[i - 1]
     return ys
 
 
-def _solve(rhs, y0, t_grid, config: IntegratorConfig, args):
-    t_grid = np.asarray(t_grid, dtype=float)
-    if config.method == "rk4":
-        return _rk4_fixed(rhs, y0, t_grid, config.dt, args)
-    method = {"rk45": "RK45", "radau": "Radau", "lsoda": "LSODA"}[config.method]
-    sol = solve_ivp(
-        rhs,
-        (t_grid[0], t_grid[-1]),
-        y0,
-        method=method,
-        t_eval=t_grid,
-        rtol=config.rtol,
-        atol=config.atol,
-        args=args,
-    )
-    if not sol.success:
-        raise StiffnessFailure(
-            f"integration failed ({sol.message}); try method='radau' or the "
-            "adiabatic variant"
-        )
-    return sol.y.T
+def derivative(
+    state: SystemState, params: PhysicalParams, rates: ScatteringRates
+) -> SystemState:
+    """Right-hand side A y of the four-level equations of motion."""
+    return SystemState.from_vector(generator(params, rates) @ state.as_vector())
 
 
 def integrate(
     initial: SystemState,
     params: PhysicalParams,
     rates: ScatteringRates,
-    config: IntegratorConfig,
     t_grid,
 ) -> TimeSeries:
-    """Integrate the full four-level model on the given time grid."""
+    """Evolve the full four-level model from `initial` at t = 0 to the
+    points of the uniform time grid t_grid (ValueError otherwise)."""
     t_grid = np.asarray(t_grid, dtype=float)
-    ys = _solve(_rhs_full, initial.as_vector(), t_grid, config, (params, rates))
+    ys = _propagate(generator(params, rates, "full"), initial.as_vector(), t_grid)
     return TimeSeries(t=t_grid, y=ys)
 
 
@@ -206,10 +169,10 @@ def integrate_adiabatic(
     initial: SystemState,
     params: PhysicalParams,
     rates: ScatteringRates,
-    config: IntegratorConfig,
     t_grid,
 ) -> TimeSeries:
-    """Integrate the reduced five-variable model (optical level eliminated).
+    """Evolve the reduced five-variable model (optical level eliminated)
+    from `initial` at t = 0 to the points of the uniform grid t_grid.
 
     Raises RegimeViolation when any Zeeman component is driven beyond
     I(m)*L(m) = 0.1, where the elimination is unjustified.  The returned
@@ -222,22 +185,10 @@ def integrate_adiabatic(
                 "elimination of the optical level is unjustified"
             )
     t_grid = np.asarray(t_grid, dtype=float)
-    y0 = initial.as_vector()[:5]
-    ys5 = _solve(_rhs_adiabatic, y0, t_grid, config, (params, rates))
+    A = generator(params, rates, "adiabatic")
+    ys5 = _propagate(A, initial.as_vector()[:5], t_grid)
     n3 = (rates.r1 * ys5[:, 3] + rates.r2 * ys5[:, 4]) / params.gamma3
     return TimeSeries(t=t_grid, y=np.column_stack([ys5, n3]))
-
-
-def _rhs_two_level(t, y, omega, delta, gamma, Gamma):
-    # w = n1 - n0; longitudinal decay pulls w toward +1 (excited state).
-    w, u, v = y
-    return np.array(
-        [
-            omega * v - Gamma * (w - 1.0),
-            -delta * v - gamma * u,
-            delta * u - omega * w - gamma * v,
-        ]
-    )
 
 
 def integrate_effective_two_level(
@@ -245,28 +196,31 @@ def integrate_effective_two_level(
     gamma_eff: float,
     Gamma_eff: float,
     omega_mw: float,
-    config: IntegratorConfig,
     t_grid,
     delta_mw: float = 0.0,
 ) -> TimeSeries:
     """Effective two-level Bloch evolution with transverse rate gamma and
     longitudinal rate Gamma decaying into the excited state.
 
-    initial is (w, u, v) with w = n1 - n0.  Returns a TimeSeries whose
-    populations columns hold n0 = (1-w)/2, n1 = (1+w)/2, n2 = n3 = 0, so
-    p1 has its usual meaning.  On resonance the stationary point is
-    P1 = 1 - (1/2) I/(1+I) with I = Omega^2/(Gamma*gamma).
+    initial is (w, u, v) with w = n1 - n0, at t = 0; t_grid is uniform.
+    Returns a TimeSeries whose populations columns hold n0 = (1-w)/2,
+    n1 = (1+w)/2, n2 = n3 = 0, so p1 has its usual meaning.  On resonance
+    the stationary point is P1 = 1 - (1/2) I/(1+I) with
+    I = Omega^2/(Gamma*gamma).
     """
     if not gamma_eff >= Gamma_eff / 2.0:
         raise ValueError("unphysical rates: gamma_eff must be >= Gamma_eff/2")
-    t_grid = np.asarray(t_grid, dtype=float)
-    ys = _solve(
-        _rhs_two_level,
-        np.asarray(initial, dtype=float),
-        t_grid,
-        config,
-        (omega_mw, delta_mw, gamma_eff, Gamma_eff),
+    # [w, u, v, 1]: the constant component carries the pull of w toward +1
+    A = np.array(
+        [
+            [-Gamma_eff, 0.0, omega_mw, Gamma_eff],
+            [0.0, -gamma_eff, -delta_mw, 0.0],
+            [-omega_mw, delta_mw, -gamma_eff, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
     )
+    t_grid = np.asarray(t_grid, dtype=float)
+    ys = _propagate(A, [*initial, 1.0], t_grid)
     w, u, v = ys[:, 0], ys[:, 1], ys[:, 2]
     zero = np.zeros_like(w)
     y6 = np.column_stack([u, v, (1 - w) / 2, (1 + w) / 2, zero, zero])

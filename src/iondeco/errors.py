@@ -9,11 +9,6 @@ class DegenerateRates(IondecoError):
     """A requested quantity is undefined because a scattering channel vanishes."""
 
 
-class StiffnessFailure(IondecoError):
-    """Adaptive step control underflowed; caller should fall back to the
-    adiabatic variant or a stiff method."""
-
-
 class RegimeViolation(IondecoError):
     """Adiabatic elimination requested outside the weak-excitation regime."""
 

@@ -42,8 +42,6 @@ class PhysicalParams:
                   frequency (negative = red detuned)
     zeeman_delta : Zeeman splitting g_F * mu_B * B / hbar, with g_F = 1
     gamma3   : energy relaxation rate of the optical resonance level
-    gamma_lph : extra optical-dipole phase relaxation (normally 0, so the
-                optical dipole decay is gamma_l = gamma3/2)
     gamma_ph_extra : extra microwave-coherence dephasing of non-optical origin
     beta1, beta2 : branching ratios of level-3 decay into levels 1 and 2
     """
@@ -55,12 +53,14 @@ class PhysicalParams:
     delta_mw: float = 0.0
     delta_laser: float = 0.0
     zeeman_delta: float = 0.0
-    gamma_lph: float = 0.0
     gamma_ph_extra: float = 0.0
     beta1: float = 1.0 / 3.0
     beta2: float = 2.0 / 3.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not self.gamma3 > 0:
             raise ValueError("gamma3 must be positive")
         if self.i0 < 0:
@@ -69,14 +69,9 @@ class PhysicalParams:
             raise ValueError("branching ratios must lie in [0, 1]")
         if abs(self.beta1 + self.beta2 - 1.0) > 1e-12:
             raise ValueError("branching ratios must sum to 1")
-        if self.gamma_ph_extra < 0 or self.gamma_lph < 0:
-            raise ValueError("dephasing rates must be nonnegative")
+        if self.gamma_ph_extra < 0:
+            raise ValueError("dephasing rate must be nonnegative")
         object.__setattr__(self, "alpha", _fold_alpha(self.alpha))
-
-    @property
-    def gamma_l(self) -> float:
-        """Optical dipole phase relaxation gamma_l = gamma3/2 + gamma_lph."""
-        return self.gamma3 / 2.0 + self.gamma_lph
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,8 @@ class ScatteringRates:
     p3_mean: tuple[float, float, float]
 
     def __post_init__(self):
-        if self.r1 < 0 or self.r2 < 0:
-            raise ValueError("scattering rates must be nonnegative")
+        if not (0 <= self.r1 < math.inf and 0 <= self.r2 < math.inf):
+            raise ValueError("scattering rates must be finite and nonnegative")
         if any(not (0 <= p <= 0.5) for p in self.p3_mean):
             raise ValueError("excited populations must lie in [0, 1/2]")
 

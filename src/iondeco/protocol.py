@@ -14,17 +14,13 @@ reproducible and order-independent.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import ConfigMismatch
-from .dynamics import (
-    IntegratorConfig,
-    SystemState,
-    integrate,
-    integrate_adiabatic,
-)
+from .dynamics import SystemState, integrate, integrate_adiabatic
 from .model import PhysicalParams, ScatteringRates
 
 
@@ -51,6 +47,8 @@ class DetectionModel:
             raise ValueError(f"unknown detection mode {self.mode!r}")
         if not (0 <= self.eps_on < 0.5 and 0 <= self.eps_off < 0.5):
             raise ValueError("detection error probabilities must lie in [0, 1/2)")
+        if not (0 <= self.bright_rate < math.inf and 0 <= self.dark_rate < math.inf):
+            raise ValueError("count rates must be finite and nonnegative")
 
     def sample(self, p1: float, rng: np.random.Generator, probe_duration: float) -> int:
         in_f1 = rng.random() < p1
@@ -74,8 +72,8 @@ class ProtocolConfig:
     prep_error: float = 0.0  # probability the preparation leaves the ion in 1
 
     def __post_init__(self):
-        if self.dt_unit <= 0:
-            raise ValueError("dt_unit must be positive")
+        if not (0 < self.dt_unit < math.inf and 0 < self.probe_duration < math.inf):
+            raise ValueError("dt_unit and probe_duration must be finite and positive")
         if self.n_max < 1 or self.n_trajectories < 1:
             raise ValueError("n_max and n_trajectories must be >= 1")
         if not 0 <= self.prep_error <= 1:
@@ -100,21 +98,20 @@ def _deterministic_curves(
     params: PhysicalParams,
     rates: ScatteringRates,
     config: ProtocolConfig,
-    integrator: IntegratorConfig,
     model: str,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """P1 at the drive lengths N*dt_unit for both preparation outcomes.
 
     Restarting from a fixed state before each drive is equivalent to
-    sampling one deterministic solution, so a single integration per
+    sampling one deterministic solution, so a single evolution per
     initial state covers every N.
     """
     run = {"full": integrate, "adiabatic": integrate_adiabatic}[model]
     t_grid = np.arange(config.n_max + 1) * config.dt_unit
-    curve0 = tuple(run(SystemState(n0=1.0), params, rates, integrator, t_grid).p1[1:])
+    curve0 = tuple(run(SystemState(n0=1.0), params, rates, t_grid).p1[1:])
     if config.prep_error > 0:
         curve1 = tuple(
-            run(SystemState(n0=0.0, n1=1.0), params, rates, integrator, t_grid).p1[1:]
+            run(SystemState(n0=0.0, n1=1.0), params, rates, t_grid).p1[1:]
         )
     else:
         curve1 = curve0
@@ -138,11 +135,10 @@ def run_trajectory(
     rates: ScatteringRates,
     config: ProtocolConfig,
     trajectory_index: int,
-    integrator: IntegratorConfig = IntegratorConfig(),
     model: str = "full",
 ) -> TrajectoryRecord:
     """Simulate one full measurement trajectory (N = 1 .. n_max)."""
-    curve0, curve1 = _deterministic_curves(params, rates, config, integrator, model)
+    curve0, curve1 = _deterministic_curves(params, rates, config, model)
     return TrajectoryRecord(
         seed=config.seed,
         trajectory_index=trajectory_index,

@@ -15,7 +15,6 @@ import pytest
 
 from iondeco.design import DesignTarget, design_decoherence
 from iondeco.dynamics import (
-    IntegratorConfig,
     SystemState,
     integrate,
     integrate_adiabatic,
@@ -80,8 +79,7 @@ def test_criterion_1_saturation_closed_form(report):
         )
         r = scattering_rates(p)
         t_max = 15 / min(p.beta2 * r.r1, p.beta1 * r.r2)
-        ts = integrate(SystemState(), p, r, IntegratorConfig(method="lsoda"),
-                       np.linspace(0.0, t_max, 40))
+        ts = integrate(SystemState(), p, r, np.linspace(0.0, t_max, 40))
         worst = max(worst, abs(ts.p1[-1] - saturation_probability(r)))
     report(1, "closed-form saturation vs integrated steady state",
            worst < 1e-3, f"worst abs err {worst:.2e}")
@@ -96,7 +94,7 @@ def test_criterion_2_plateau_family(report):
     for sqrt_r2gl, plateau in expected.items():
         r = rates_from_sqrt(700, sqrt_r2gl)
         t = np.arange(301) * 100e-6
-        ts = integrate_adiabatic(SystemState(), p, r, IntegratorConfig(), t)
+        ts = integrate_adiabatic(SystemState(), p, r, t)
         worst = max(worst, abs(ts.p1[-1] - plateau))
     report(2, "nutation plateau family", worst < 1e-2,
            f"worst abs err {worst:.2e}")
@@ -116,7 +114,7 @@ def test_criterion_3_monotone_damping_ladder(report):
         r = scattering_rates(p)
         t_max = 40 * 2 * math.pi / omega if r.r1 == 0 else min(10 / r.r1, 60e-3)
         t = np.linspace(0.0, t_max, 500)
-        ts = integrate_adiabatic(SystemState(), p, r, IntegratorConfig(), t)
+        ts = integrate_adiabatic(SystemState(), p, r, t)
         lams.append(fit_nutation(ts.t, ts.p1).lambda_fit)
     ok = lams[0] < 1e-6 * omega and lams[0] < lams[1] < lams[2]
     report(3, "damping monotone in light level", ok,
@@ -139,7 +137,7 @@ def test_criterion_4_envelope_rate_identification(report):
                                i0=i0, alpha=math.radians(alpha_deg))
             r = scattering_rates(p)
             t = np.linspace(0.0, 14 / r.r1, 400)
-            ts = integrate_adiabatic(SystemState(), p, r, IntegratorConfig(), t)
+            ts = integrate_adiabatic(SystemState(), p, r, t)
             fit = fit_nutation(ts.t, ts.p1)
             worst = max(worst, abs(fit.lambda_fit / (r.r1 + p.gamma_ph_extra) - 1))
     report(4, "envelope decay identifies r1 + gamma_ph to 20%",
@@ -155,7 +153,7 @@ def test_criterion_5_ratio_identification(report):
                                i0=i0, alpha=math.radians(alpha_deg))
             r = scattering_rates(p)
             t = np.linspace(0.0, 14 / r.r1, 400)
-            ts = integrate_adiabatic(SystemState(), p, r, IntegratorConfig(), t)
+            ts = integrate_adiabatic(SystemState(), p, r, t)
             ratio = invert_saturation(fit_nutation(ts.t, ts.p1).p_inf_fit)
             worst = max(worst, abs(ratio / (r.r2 / r.r1) - 1))
     report(5, "plateau inversion identifies r2/r1 to 10%",
@@ -221,15 +219,13 @@ def test_criterion_8_numerical_hygiene(report):
     p = PhysicalParams(omega_mw=4.2 * TWO_PI_KHZ, gamma3=GAMMA3)
     r = rates_from_sqrt(700, 700)
     t = np.arange(301) * 100e-6
-    ts = integrate(SystemState(n0=0.8, n1=0.2), p, r,
-                   IntegratorConfig(method="radau"), t)
+    ts = integrate(SystemState(n0=0.8, n1=0.2), p, r, t)
     trace_err = float(np.max(np.abs(ts.trace - 1.0)))
     min_pop = float(ts.y[:, 2:].min())
 
     no_light = ScatteringRates(0.0, 0.0, (0.0, 0.0, 0.0))
     t2 = np.linspace(0, 10 * 2 * math.pi / p.omega_mw, 400)
-    ts2 = integrate(SystemState(), p, no_light,
-                    IntegratorConfig(rtol=1e-10, atol=1e-12), t2)
+    ts2 = integrate(SystemState(), p, no_light, t2)
     rabi_err = float(np.max(np.abs(ts2.y[:, 3] - np.sin(p.omega_mw * t2 / 2) ** 2)))
     ok = trace_err < 1e-9 and min_pop > -1e-9 and rabi_err < 1e-8
     report(8, "numerical hygiene", ok,

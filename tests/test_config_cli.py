@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,15 +36,16 @@ class TestRunConfig:
         assert exc.value.location == "physics"
 
     def test_unknown_key_dotted_location(self):
-        with pytest.raises(ConfigError) as exc:
-            RunConfig({"physical": {"omega_mw_khz": 4.2}})
-        assert exc.value.location == "physical.omega_mw_khz"
+        for key in ("omega_mw_khz", "gamma_lph_2pikhz"):
+            with pytest.raises(ConfigError) as exc:
+                RunConfig({"physical": {key: 4.2}})
+            assert exc.value.location == f"physical.{key}"
 
     def test_type_errors(self):
         with pytest.raises(ConfigError):
             RunConfig({"protocol": {"n_max": 3.5}})
         with pytest.raises(ConfigError):
-            RunConfig({"integrator": {"method": 7}})
+            RunConfig({"integrator": {"model": 7}})
         with pytest.raises(ConfigError):
             RunConfig({"physical": {"i0": "strong"}})
 
@@ -205,7 +207,14 @@ class TestCliSweep:
         rc = main(["sweep", "--config", str(cfg), "--out", str(out),
                    "--axis", "rates.r2_2pikhz=1.0,4.0"])
         assert rc == 0
-        body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        # each axis value carries the hash of the config that produced it
+        text = out.read_text()
+        hashes = dict(re.findall(r"^# config_hash\[(.+)\]=(\w+)$", text, re.M))
+        expected = RunConfig.load(cfg)
+        for value in (1.0, 4.0):
+            expected.set_path("rates.r2_2pikhz", value)
+            assert hashes[f"{value:.12g}"] == expected.hash()
+        body = [l for l in text.splitlines() if not l.startswith("#")]
         rows = [l.split(",") for l in body[1:]]
         finals = {}
         for r in rows:
@@ -235,3 +244,26 @@ class TestExitCodes:
             "integrator:\n  model: adiabatic\n"
         )
         assert main(["simulate", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["rates", "--i0", "nan"], ""),
+        (["rates", "--omega-2pikhz", "inf"], ""),
+        (["simulate", "--dt-us", "nan"], ""),
+        (["rates"], "rates:\n  r1_2pikhz: -1\n  r2_2pikhz: 1.0\n"),
+        (["rates"], "rates:\n  r1_2pikhz: .nan\n  r2_2pikhz: 1.0\n"),
+        (["simulate"], "initial:\n  n0: .nan\n"),
+        (["rates"], "physical:\n  i0: null\n"),
+        (["simulate"], "protocol:\n  probe_ms: .nan\n"),
+        (["simulate"], "detection:\n  bright_rate_hz: -1.0\n"),
+        (["design", "--target-gamma-2pikhz", "nan",
+          "--target-big-gamma-2pikhz", "500"], ""),
+        (["sweep", "--axis", "physical.i0=abc"], ""),
+    ], ids=["i0-nan", "omega-inf", "dt-nan", "r1-negative", "r1-nan", "n0-nan",
+            "i0-null", "probe-nan", "bright-negative", "target-nan", "axis-text"])
+    def test_invalid_number_exit_2(self, tmp_path, capsys, argv, doc):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(doc)
+        rc = main([*argv, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error") and "Traceback" not in err

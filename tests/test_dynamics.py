@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from iondeco.errors import RegimeViolation
 from iondeco.dynamics import (
-    IntegratorConfig,
     SystemState,
     derivative,
     integrate,
@@ -62,15 +64,14 @@ class TestFullModel:
     def test_zero_light_rabi_formula(self):
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
         t = np.linspace(0, 10 * 2 * math.pi / OMEGA, 400)
-        ts = integrate(SystemState(), p, NO_LIGHT,
-                       IntegratorConfig(rtol=1e-10, atol=1e-12), t)
+        ts = integrate(SystemState(), p, NO_LIGHT, t)
         expected = np.sin(OMEGA * t / 2) ** 2
         assert np.max(np.abs(ts.y[:, 3] - expected)) < 1e-8
 
     def test_pi_pulse(self):
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
         t = np.array([0.0, math.pi / OMEGA])
-        ts = integrate(SystemState(), p, NO_LIGHT, IntegratorConfig(), t)
+        ts = integrate(SystemState(), p, NO_LIGHT, t)
         assert ts.y[-1, 3] == pytest.approx(1.0, abs=1e-8)
 
     def test_no_drive_pumping_equilibrium(self):
@@ -79,8 +80,7 @@ class TestFullModel:
         p = PhysicalParams(omega_mw=0.0, gamma3=1e5)
         r = ScatteringRates(r1=400.0, r2=900.0, p3_mean=(0, 0, 0))
         t = np.linspace(0, 200 / min(r.r1, r.r2), 50)
-        ts = integrate(SystemState(n0=0.3, n1=0.0, n2=0.7), p, r,
-                       IntegratorConfig(), t)
+        ts = integrate(SystemState(n0=0.3, n1=0.0, n2=0.7), p, r, t)
         assert ts.y[-1, 2] == pytest.approx(0.3, abs=1e-8)  # n0 frozen
         n1, n2 = ts.y[-1, 3], ts.y[-1, 4]
         assert p.beta2 * r.r1 * n1 == pytest.approx(p.beta1 * r.r2 * n2, rel=1e-6)
@@ -96,16 +96,14 @@ class TestFullModel:
             )
             r = scattering_rates(p)
             t_max = 20 / min(r.r1 * p.beta2, r.r2 * p.beta1)
-            ts = integrate(SystemState(), p, r, IntegratorConfig(method="lsoda"),
-                           np.linspace(0, t_max, 60))
+            ts = integrate(SystemState(), p, r, np.linspace(0, t_max, 60))
             assert abs(ts.p1[-1] - saturation_probability(r)) < 1e-4
 
     def test_trace_and_positivity(self):
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
         r = rates_from_sqrt(700, 700)
         t = np.arange(301) * 100e-6
-        ts = integrate(SystemState(n0=0.8, n1=0.2), p, r,
-                       IntegratorConfig(method="radau"), t)
+        ts = integrate(SystemState(n0=0.8, n1=0.2), p, r, t)
         assert np.max(np.abs(ts.trace - 1.0)) < 1e-9
         assert ts.y[:, 2:].min() > -1e-9
 
@@ -114,48 +112,44 @@ class TestAdiabatic:
     def test_zero_light_identical_to_full(self):
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
         t = np.linspace(0, 5 * 2 * math.pi / OMEGA, 200)
-        cfg = IntegratorConfig(rtol=1e-11, atol=1e-13)
-        full = integrate(SystemState(), p, NO_LIGHT, cfg, t)
-        red = integrate_adiabatic(SystemState(), p, NO_LIGHT, cfg, t)
+        full = integrate(SystemState(), p, NO_LIGHT, t)
+        red = integrate_adiabatic(SystemState(), p, NO_LIGHT, t)
         assert np.max(np.abs(full.p1 - red.p1)) < 1e-10
 
     def test_reference_curve_plateau_two_thirds(self):
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
         r = rates_from_sqrt(700, 700)
         t = np.arange(301) * 100e-6
-        ts = integrate_adiabatic(SystemState(n0=0.8, n1=0.2), p, r,
-                                 IntegratorConfig(), t)
+        ts = integrate_adiabatic(SystemState(n0=0.8, n1=0.2), p, r, t)
         assert abs(ts.p1[-1] - 2 / 3) < 1e-3
 
     def test_symmetric_rates_plateau(self):
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
         r = ScatteringRates(r1=2e4, r2=2e4, p3_mean=(0, 0, 0))
         t = np.linspace(0, 30 / 2e4 * 20, 200)
-        ts = integrate_adiabatic(SystemState(), p, r, IntegratorConfig(), t)
+        ts = integrate_adiabatic(SystemState(), p, r, t)
         assert abs(ts.p1[-1] - 0.75) < 1e-3
 
     def test_agrees_with_full_model_at_strong_scattering(self):
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
         r = rates_from_sqrt(700, 350)
         t = np.arange(0, 151) * 100e-6
-        full = integrate(SystemState(n0=0.8, n1=0.2), p, r,
-                         IntegratorConfig(method="radau"), t)
-        red = integrate_adiabatic(SystemState(n0=0.8, n1=0.2), p, r,
-                                  IntegratorConfig(), t)
+        full = integrate(SystemState(n0=0.8, n1=0.2), p, r, t)
+        red = integrate_adiabatic(SystemState(n0=0.8, n1=0.2), p, r, t)
         assert np.max(np.abs(full.p1 - red.p1)) < 1e-3
 
     def test_regime_violation(self):
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3, i0=0.5, alpha=0.2)
         with pytest.raises(RegimeViolation):
             integrate_adiabatic(SystemState(), p, scattering_rates(p),
-                                IntegratorConfig(), np.linspace(0, 1e-3, 10))
+                                np.linspace(0, 1e-3, 10))
 
 
 class TestEffectiveTwoLevel:
     def test_pure_dephasing_equalizes(self):
         t = np.linspace(0, 4000.0, 200)  # gamma = 1e-2 -> t_max = 40/gamma
         ts = integrate_effective_two_level(
-            (-1.0, 0.0, 0.0), 1e-2, 1e-15, OMEGA / 1e4, IntegratorConfig(), t
+            (-1.0, 0.0, 0.0), 1e-2, 1e-15, OMEGA / 1e4, t
         )
         assert ts.p1[-1] == pytest.approx(0.5, abs=1e-4)
 
@@ -165,7 +159,7 @@ class TestEffectiveTwoLevel:
         omega = math.sqrt(Gamma * gamma)
         t = np.linspace(0, 50 / Gamma, 300)
         ts = integrate_effective_two_level(
-            (-1.0, 0.0, 0.0), gamma, Gamma, omega, IntegratorConfig(), t
+            (-1.0, 0.0, 0.0), gamma, Gamma, omega, t
         )
         assert ts.p1[-1] == pytest.approx(0.75, abs=1e-4)
 
@@ -175,15 +169,14 @@ class TestEffectiveTwoLevel:
         Gamma = OMEGA**2 / r.r2
         t = np.linspace(0, 30e-3, 400)
         ts = integrate_effective_two_level(
-            (-1.0, 0.0, 0.0), gamma, Gamma, OMEGA, IntegratorConfig(), t
+            (-1.0, 0.0, 0.0), gamma, Gamma, OMEGA, t
         )
         assert abs(ts.p1[-1] - 2 / 3) < 1e-2
 
     def test_unphysical_rates_rejected(self):
         with pytest.raises(ValueError):
             integrate_effective_two_level(
-                (-1.0, 0.0, 0.0), 1.0, 10.0, OMEGA, IntegratorConfig(),
-                np.linspace(0, 1, 5),
+                (-1.0, 0.0, 0.0), 1.0, 10.0, OMEGA, np.linspace(0, 1, 5)
             )
 
 
@@ -198,29 +191,93 @@ def test_envelope_decay_matches_transverse_rate():
     p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
     r = rates_from_sqrt(70, 70)
     t = np.arange(301) * 100e-6
-    ts = integrate_adiabatic(SystemState(), p, r, IntegratorConfig(), t)
+    ts = integrate_adiabatic(SystemState(), p, r, t)
     from iondeco.fitting import fit_nutation
 
     fit = fit_nutation(ts.t, ts.p1)
     assert fit.lambda_fit == pytest.approx(r.r1, rel=0.20)
 
 
-def test_rk4_matches_adaptive():
-    p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
-    r = ScatteringRates(r1=500.0, r2=1000.0, p3_mean=(0, 0, 0))
-    t = np.linspace(0, 2e-3, 50)
-    a = integrate_adiabatic(SystemState(), p, r, IntegratorConfig(), t)
-    b = integrate_adiabatic(
-        SystemState(), p, r, IntegratorConfig(method="rk4", dt=1e-6), t
-    )
-    assert np.max(np.abs(a.p1 - b.p1)) < 1e-7
-
-
 def test_coherence_bounded_by_populations():
     p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
     r = rates_from_sqrt(70, 70)
     t = np.linspace(0, 10e-3, 200)
-    ts = integrate_adiabatic(SystemState(n0=0.8, n1=0.2), p, r,
-                             IntegratorConfig(), t)
+    ts = integrate_adiabatic(SystemState(n0=0.8, n1=0.2), p, r, t)
     u, v = ts.y[:, 0], ts.y[:, 1]
     assert np.all(u**2 + v**2 <= 4 * ts.y[:, 2] * ts.y[:, 3] + 1e-9)
+
+
+# Reference equations of motion for solve_ivp, written out term by term
+# independently of dynamics.generator.
+def _rhs_full(_, y, p, r):
+    u, v, n0, n1, n2, n3 = y
+    gc = r.r1 + p.gamma_ph_extra
+    return [
+        -p.delta_mw * v - gc * u,
+        p.delta_mw * u + p.omega_mw * (n0 - n1) - gc * v,
+        -0.5 * p.omega_mw * v,
+        0.5 * p.omega_mw * v - r.r1 * n1 + p.beta1 * p.gamma3 * n3,
+        -r.r2 * n2 + p.beta2 * p.gamma3 * n3,
+        r.r1 * n1 + r.r2 * n2 - p.gamma3 * n3,
+    ]
+
+
+def _rhs_adiabatic(_, y, p, r):
+    u, v, n0, n1, n2 = y
+    gc = r.r1 + p.gamma_ph_extra
+    flux = r.r1 * n1 + r.r2 * n2
+    return [
+        -p.delta_mw * v - gc * u,
+        p.delta_mw * u + p.omega_mw * (n0 - n1) - gc * v,
+        -0.5 * p.omega_mw * v,
+        0.5 * p.omega_mw * v - r.r1 * n1 + p.beta1 * flux,
+        -r.r2 * n2 + p.beta2 * flux,
+    ]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    omega_2pikhz=st.floats(1.0, 10.0),
+    i0=st.floats(0.0, 1e-3),
+    alpha=st.floats(0.0, math.pi / 2),
+    b_2pikhz=st.floats(0.0, 2e4),
+    delta_mw_2pikhz=st.floats(0.1, 5.0),
+    detuning_sign=st.sampled_from([-1.0, 1.0]),
+    gamma_ph_2pikhz=st.floats(0.0, 2.0),
+    weights=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+    coherence=st.floats(0.0, 1.0),
+    phase=st.floats(0.0, 2 * math.pi),
+)
+def test_propagator_matches_solve_ivp_reference(
+    omega_2pikhz, i0, alpha, b_2pikhz, delta_mw_2pikhz, detuning_sign,
+    gamma_ph_2pikhz, weights, coherence, phase,
+):
+    """Both models agree with an independent stiff solver (Radau, rtol 1e-10)
+    on the equations written out above, detuned drive included."""
+    p = PhysicalParams(
+        omega_mw=omega_2pikhz * TWO_PI_KHZ,
+        gamma3=GAMMA3,
+        i0=i0,
+        alpha=alpha,
+        zeeman_delta=b_2pikhz * TWO_PI_KHZ,
+        delta_mw=detuning_sign * delta_mw_2pikhz * TWO_PI_KHZ,
+        gamma_ph_extra=gamma_ph_2pikhz * TWO_PI_KHZ,
+    )
+    r = scattering_rates(p)
+    n = np.array(weights) / sum(weights)
+    c = coherence * math.sqrt(4 * n[0] * n[1])  # u^2 + v^2 <= 4 n0 n1
+    initial = SystemState(c * math.cos(phase), c * math.sin(phase), *n)
+    t = np.arange(21) * 25e-6
+    models = ((integrate, _rhs_full, 6), (integrate_adiabatic, _rhs_adiabatic, 5))
+    for run, rhs, size in models:
+        ref = solve_ivp(rhs, (t[0], t[-1]), initial.as_vector()[:size], method="Radau",
+                        t_eval=t, rtol=1e-10, atol=1e-10, args=(p, r))
+        assert ref.success
+        ts = run(initial, p, r, t)
+        assert np.max(np.abs(ts.y[:, :size] - ref.y.T)) < 1e-7
+
+
+def test_non_uniform_grid_rejected():
+    p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        integrate(SystemState(), p, NO_LIGHT, [0.0, 1e-4, 3e-4])

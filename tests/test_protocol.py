@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from iondeco.errors import ConfigMismatch
-from iondeco.dynamics import IntegratorConfig
 from iondeco.model import TWO_PI_KHZ, PhysicalParams, ScatteringRates, scattering_rates
 from iondeco.protocol import (
     AccumulatedCurve,
