@@ -18,7 +18,7 @@ from iondeco import (
     accumulate,
     effective_from_fit,
     fit_nutation,
-    run_trajectory,
+    run_trajectories,
     scattering_rates,
 )
 
@@ -35,9 +35,7 @@ def main():
           f"r2 = {rates.r2 / TWO_PI_KHZ:.4f} (2pi kHz), "
           f"r2/r1 = {rates.r2 / rates.r1:.3f}")
 
-    records = [run_trajectory(params, rates, cfg, k, model="adiabatic")
-               for k in range(n_traj)]
-    curve = accumulate(records)
+    curve = accumulate(run_trajectories(params, rates, cfg, model="adiabatic"))
     sigma = np.maximum((curve.ci_high - curve.ci_low) / (2 * 1.96), 1e-3)
     fit = fit_nutation(curve.tau_s, curve.p1_mean, sigma=sigma)
     eff = effective_from_fit(fit, params.omega_mw)

@@ -27,10 +27,10 @@ from .protocol import (
     AccumulatedCurve,
     DetectionModel,
     ProtocolConfig,
-    TrajectoryRecord,
+    TrajectoryBatch,
     accumulate,
     replay,
-    run_trajectory,
+    run_trajectories,
 )
 from .fitting import NutationFit, effective_from_fit, fit_nutation, invert_saturation
 from .design import DesignTarget, design_decoherence, verify_design

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fitting import effective_from_fit, fit_nutation
 from .model import TWO_PI_KHZ, effective_rates
-from .protocol import accumulate, run_trajectory, write_curve_csv, write_trajectories
+from .protocol import accumulate, run_trajectories, write_curve_csv, write_trajectories
 
 _NUMERICAL_ERRORS = (
     RegimeViolation,
@@ -106,7 +106,7 @@ def _json_dump(obj) -> str:
 def cmd_rates(args) -> int:
     cfg = _build_config(args)
     params = cfg.physical_params()
-    rates = cfg.rates()
+    rates = cfg.rates(params)
     eff = effective_rates(params, rates)
     doc = {
         "provenance": {
@@ -132,7 +132,7 @@ def cmd_rates(args) -> int:
 
 def _simulate_series(cfg: RunConfig):
     params = cfg.physical_params()
-    rates = cfg.rates()
+    rates = cfg.rates(params)
     proto = cfg.protocol_config()
     t_grid = np.arange(proto.n_max + 1) * proto.dt_unit
     run = integrate_adiabatic if cfg.model_variant() == "adiabatic" else integrate
@@ -166,15 +166,12 @@ def cmd_simulate(args) -> int:
 def cmd_trajectories(args) -> int:
     cfg = _build_config(args)
     params = cfg.physical_params()
-    rates = cfg.rates()
+    rates = cfg.rates(params)
     proto = cfg.protocol_config()
-    records = [
-        run_trajectory(params, rates, proto, k, cfg.model_variant())
-        for k in range(proto.n_trajectories)
-    ]
-    curve = accumulate(records)
+    batch = run_trajectories(params, rates, proto, cfg.model_variant())
+    curve = accumulate(batch)
     base = args.out or "trajectories"
-    write_trajectories(f"{base}.traj.txt", records)
+    write_trajectories(f"{base}.traj.txt", batch)
     prov = _provenance(cfg) + [f"dt_us={cfg.data['protocol']['dt_us']!r}"]
     write_curve_csv(f"{base}.curve.csv", curve, provenance=prov)
     print(f"wrote {base}.traj.txt and {base}.curve.csv", file=sys.stderr)

@@ -163,10 +163,13 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc), location="physical") from exc
 
-    def rates(self) -> ScatteringRates:
-        """Scattering rates: direct override when given, else from knobs."""
+    def rates(self, params: PhysicalParams | None = None) -> ScatteringRates:
+        """Scattering rates: direct override when given, else from knobs.
+        `params` saves rebuilding the physical parameters when the caller
+        already has them from `physical_params()`."""
         r = self.data["rates"]
-        params = self.physical_params()
+        if params is None:
+            params = self.physical_params()
         if r["r1_2pikhz"] is None and r["r2_2pikhz"] is None:
             return scattering_rates(params)
         if r["r1_2pikhz"] is None or r["r2_2pikhz"] is None:

@@ -22,10 +22,6 @@ class OutOfRange(IondecoError):
     """Value outside the invertible / physical range."""
 
 
-class ConfigMismatch(IondecoError):
-    """Records with differing protocol configurations cannot be accumulated."""
-
-
 class InfeasibleDesign(IondecoError):
     """Inverse design target cannot be met within the knob bounds.
 

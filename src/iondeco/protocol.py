@@ -6,22 +6,51 @@ active during the drive.  The probe answers "is the ion in F=1" and is
 reduced to a binary on/off outcome through a detection model.  Accumulating
 many trajectories estimates P1 as a function of pulse area.
 
-Randomness is counter-based: every outcome bit draws from a fresh stream
-keyed by (master seed, trajectory index, N), so trajectories are
-reproducible and order-independent.
+No outcome records the preparation fault, the F=1 projection or the photon
+count, so the bit at drive length N is one Bernoulli draw with probability
+
+    q_N = (1 - prep_error) on(P1_0(N)) + prep_error on(P1_1(N)),
+
+where P1_0 / P1_1 are the deterministic curves after a good / faulty
+preparation and on(p) is the detection model's on-probability.  All bits
+of a run come from one counter-based Philox block keyed by the seed: bit
+(k, N) is uniform number k * n_max + N - 1 of that stream, so a
+trajectory's row depends only on (seed, k, n_max) and replays bit-exactly.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigMismatch
 from .dynamics import SystemState, integrate, integrate_adiabatic
 from .model import PhysicalParams, ScatteringRates
+
+RNG_STREAM = "philox-v1"
+
+
+def _poisson_log_pmf(j: int, mu: float) -> float:
+    """log P(X = j) for X ~ Poisson(mu) > 0.  For j > 15 and mu > j/2 it
+    takes the saddle-point form (Loader, 2000) with a Stirling series, so
+    that no logarithms of size ~ j log j cancel near the mode."""
+    if j < 16 or mu < j / 2:
+        return j * math.log(mu) - mu - math.lgamma(j + 1)
+    j2 = j * j
+    stirling = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * j2)) / j2) / j2) / j
+    return (j * math.log1p((mu - j) / j) + (j - mu) - stirling
+            - 0.5 * math.log(2 * math.pi * j))
+
+
+def _poisson_sf(threshold: int, mu: float) -> float:
+    """P(X > threshold) for X ~ Poisson(mu)."""
+    if threshold < 0:
+        return 1.0
+    if mu == 0:
+        return 0.0
+    cdf = math.fsum(math.exp(_poisson_log_pmf(j, mu)) for j in range(threshold + 1))
+    return max(0.0, 1.0 - cdf)
 
 
 @dataclass(frozen=True)
@@ -30,8 +59,8 @@ class DetectionModel:
 
     mode "ideal": record "on" with probability P1, degraded by the error
     probabilities eps_on = P(off | F=1) and eps_off = P(on | F=0).
-    mode "thresholded-counts": draw Poisson photon counts over the probe
-    (bright_rate while fluorescing plus dark_rate always) and compare
+    mode "thresholded-counts": Poisson photon counts over the probe
+    (bright_rate while fluorescing plus dark_rate always) are compared
     against the threshold.
     """
 
@@ -50,15 +79,16 @@ class DetectionModel:
         if not (0 <= self.bright_rate < math.inf and 0 <= self.dark_rate < math.inf):
             raise ValueError("count rates must be finite and nonnegative")
 
-    def sample(self, p1: float, rng: np.random.Generator, probe_duration: float) -> int:
-        in_f1 = rng.random() < p1
+    def on_probability(self, p1, probe_duration: float):
+        """P(on) = p1 on_1 + (1 - p1) on_0 for F=1 population p1 (scalar or
+        array), where on_1 / on_0 are the on-probabilities from F=1 / F=0."""
         if self.mode == "ideal":
-            if in_f1:
-                return int(rng.random() >= self.eps_on)
-            return int(rng.random() < self.eps_off)
-        rate = self.dark_rate + (self.bright_rate if in_f1 else 0.0)
-        counts = rng.poisson(rate * probe_duration)
-        return int(counts > self.threshold)
+            on1, on0 = 1.0 - self.eps_on, self.eps_off
+        else:
+            on1 = _poisson_sf(self.threshold,
+                              (self.bright_rate + self.dark_rate) * probe_duration)
+            on0 = _poisson_sf(self.threshold, self.dark_rate * probe_duration)
+        return p1 * on1 + (1 - p1) * on0
 
 
 @dataclass(frozen=True)
@@ -78,29 +108,37 @@ class ProtocolConfig:
             raise ValueError("n_max and n_trajectories must be >= 1")
         if not 0 <= self.prep_error <= 1:
             raise ValueError("prep_error must be a probability")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64)")
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One on/off sequence plus everything needed to replay it bit-exactly."""
+@dataclass(frozen=True, eq=False)
+class TrajectoryBatch:
+    """All trajectories of one run plus everything needed to replay them."""
 
-    seed: int
-    trajectory_index: int
     config: ProtocolConfig
     omega_mw: float
-    outcomes: tuple[int, ...]
-    p1_curve: tuple[float, ...]      # deterministic P1 at N*dt for prep in 0
-    p1_curve_alt: tuple[float, ...]  # same for (faulty) prep in 1
+    p1_curve: np.ndarray      # deterministic P1 at N*dt for prep in 0
+    p1_curve_alt: np.ndarray  # same for (faulty) prep in 1
+    outcomes: np.ndarray      # uint8, shape (n_trajectories, n_max)
 
 
-@functools.lru_cache(maxsize=64)
-def _deterministic_curves(
+def _sample_outcomes(curve0, curve1, config: ProtocolConfig) -> np.ndarray:
+    on, eps = config.detection.on_probability, config.prep_error
+    q = ((1 - eps) * on(curve0, config.probe_duration)
+         + eps * on(curve1, config.probe_duration))
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    uniforms = rng.random((config.n_trajectories, config.n_max))
+    return (uniforms < q).astype(np.uint8)
+
+
+def run_trajectories(
     params: PhysicalParams,
     rates: ScatteringRates,
     config: ProtocolConfig,
-    model: str,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """P1 at the drive lengths N*dt_unit for both preparation outcomes.
+    model: str = "full",
+) -> TrajectoryBatch:
+    """Simulate every trajectory of a run (N = 1 .. n_max each).
 
     Restarting from a fixed state before each drive is equivalent to
     sampling one deterministic solution, so a single evolution per
@@ -108,62 +146,18 @@ def _deterministic_curves(
     """
     run = {"full": integrate, "adiabatic": integrate_adiabatic}[model]
     t_grid = np.arange(config.n_max + 1) * config.dt_unit
-    curve0 = tuple(run(SystemState(n0=1.0), params, rates, t_grid).p1[1:])
+    curve0 = run(SystemState(n0=1.0), params, rates, t_grid).p1[1:]
+    curve1 = curve0
     if config.prep_error > 0:
-        curve1 = tuple(
-            run(SystemState(n0=0.0, n1=1.0), params, rates, t_grid).p1[1:]
-        )
-    else:
-        curve1 = curve0
-    return curve0, curve1
+        curve1 = run(SystemState(n0=0.0, n1=1.0), params, rates, t_grid).p1[1:]
+    outcomes = _sample_outcomes(curve0, curve1, config)
+    return TrajectoryBatch(config, params.omega_mw, curve0, curve1, outcomes)
 
 
-def _sample_outcomes(
-    curve0, curve1, config: ProtocolConfig, trajectory_index: int
-) -> tuple[int, ...]:
-    outcomes = []
-    for n in range(1, config.n_max + 1):
-        rng = np.random.default_rng((config.seed, trajectory_index, n))
-        bad_prep = config.prep_error > 0 and rng.random() < config.prep_error
-        p1 = curve1[n - 1] if bad_prep else curve0[n - 1]
-        outcomes.append(config.detection.sample(p1, rng, config.probe_duration))
-    return tuple(outcomes)
-
-
-def run_trajectory(
-    params: PhysicalParams,
-    rates: ScatteringRates,
-    config: ProtocolConfig,
-    trajectory_index: int,
-    model: str = "full",
-) -> TrajectoryRecord:
-    """Simulate one full measurement trajectory (N = 1 .. n_max)."""
-    curve0, curve1 = _deterministic_curves(params, rates, config, model)
-    return TrajectoryRecord(
-        seed=config.seed,
-        trajectory_index=trajectory_index,
-        config=config,
-        omega_mw=params.omega_mw,
-        outcomes=_sample_outcomes(curve0, curve1, config, trajectory_index),
-        p1_curve=curve0,
-        p1_curve_alt=curve1,
-    )
-
-
-def replay(record: TrajectoryRecord) -> TrajectoryRecord:
-    """Regenerate a record from its stored seed/config; bit-identical."""
-    outcomes = _sample_outcomes(
-        record.p1_curve, record.p1_curve_alt, record.config, record.trajectory_index
-    )
-    return TrajectoryRecord(
-        seed=record.seed,
-        trajectory_index=record.trajectory_index,
-        config=record.config,
-        omega_mw=record.omega_mw,
-        outcomes=outcomes,
-        p1_curve=record.p1_curve,
-        p1_curve_alt=record.p1_curve_alt,
-    )
+def replay(batch: TrajectoryBatch) -> TrajectoryBatch:
+    """Regenerate a batch from its stored config and curves; bit-identical."""
+    outcomes = _sample_outcomes(batch.p1_curve, batch.p1_curve_alt, batch.config)
+    return replace(batch, outcomes=outcomes)
 
 
 @dataclass(frozen=True)
@@ -189,24 +183,18 @@ def wilson_interval(k: int | np.ndarray, n: int, z: float = 1.96):
     return center - half, center + half
 
 
-def accumulate(records: list[TrajectoryRecord], z: float = 1.96) -> AccumulatedCurve:
-    """Average many trajectories into an estimated P1 curve with Wilson
-    confidence bounds; all records must share one configuration."""
-    if not records:
-        raise ConfigMismatch("no records to accumulate")
-    cfg = records[0].config
-    omega = records[0].omega_mw
-    for rec in records[1:]:
-        if rec.config != cfg or rec.omega_mw != omega:
-            raise ConfigMismatch("records stem from differing configurations")
-    counts = np.sum([rec.outcomes for rec in records], axis=0)
-    n_traj = len(records)
+def accumulate(batch: TrajectoryBatch, z: float = 1.96) -> AccumulatedCurve:
+    """Average a batch's trajectories into an estimated P1 curve with
+    Wilson confidence bounds."""
+    cfg = batch.config
+    counts = batch.outcomes.sum(0)
+    n_traj = cfg.n_trajectories
     lo, hi = wilson_interval(counts, n_traj, z)
     n = np.arange(1, cfg.n_max + 1)
     tau = n * cfg.dt_unit
     return AccumulatedCurve(
         n=n,
-        theta_rad=omega * tau,
+        theta_rad=batch.omega_mw * tau,
         tau_s=tau,
         p1_mean=counts / n_traj,
         ci_low=lo,
@@ -224,40 +212,41 @@ def _config_header(cfg: ProtocolConfig, omega_mw: float) -> list[str]:
     lines = [f"# omega_mw={omega_mw!r}"]
     lines += [f"# {k}={v!r}" for k, v in items.items()]
     lines += [f"# detection.{k}={v!r}" for k, v in det.items()]
+    lines.append(f"# rng_stream={RNG_STREAM}")
     return lines
 
 
-def write_trajectories(path, records: list[TrajectoryRecord]) -> None:
+def write_trajectories(path, batch: TrajectoryBatch) -> None:
     """Line-oriented text format: '# key=value' header, then one 0/1 line
     per trajectory (trajectory index order)."""
-    if not records:
-        raise ConfigMismatch("no records to write")
-    cfg = records[0].config
-    for rec in records[1:]:
-        if rec.config != cfg:
-            raise ConfigMismatch("records stem from differing configurations")
-    lines = _config_header(cfg, records[0].omega_mw)
-    lines += ["".join(str(b) for b in rec.outcomes) for rec in records]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = np.full((batch.config.n_trajectories, batch.config.n_max + 1),
+                   ord("\n"), dtype=np.uint8)
+    rows[:, :-1] = batch.outcomes + ord("0")
+    header = "\n".join(_config_header(batch.config, batch.omega_mw)) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.write(rows.tobytes())
 
 
 def read_trajectories(path) -> tuple[dict, np.ndarray]:
-    """Parse a trajectory file back into (header dict, outcomes array of
-    shape (n_trajectories, n_max))."""
+    """Parse a trajectory file back into (header dict, uint8 outcomes array
+    of shape (n_trajectories, n_max))."""
     header: dict[str, str] = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line.lstrip("# ").partition("=")
-                header[key.strip()] = val.strip()
-            else:
-                rows.append([int(c) for c in line])
-    return header, np.array(rows, dtype=int)
+    with open(path, "rb") as fh:
+        text = fh.read()
+    start = 0
+    while text.startswith(b"#", start):
+        end = text.index(b"\n", start) + 1
+        key, _, val = text[start:end].decode().lstrip("# ").partition("=")
+        header[key.strip()] = val.strip()
+        start = end
+    body = text[start:]
+    width = body.index(b"\n") + 1
+    rows = np.frombuffer(body, dtype=np.uint8).reshape(-1, width)
+    bits = rows[:, :-1] - ord("0")
+    if np.any(rows[:, -1] != ord("\n")) or np.any(bits > 1):
+        raise ValueError(f"{path}: outcome lines must hold only 0 and 1")
+    return header, bits
 
 
 def write_curve_csv(path, curve: AccumulatedCurve, provenance: list[str] | None = None):

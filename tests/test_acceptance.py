@@ -32,7 +32,7 @@ from iondeco.model import (
 from iondeco.protocol import (
     ProtocolConfig,
     accumulate,
-    run_trajectory,
+    run_trajectories,
     write_trajectories,
 )
 
@@ -167,16 +167,15 @@ def test_criterion_6_protocol_statistics(tmp_path, report):
                        i0=3e-4, alpha=math.radians(60))
     r = scattering_rates(p)
     cfg = ProtocolConfig(dt_unit=100e-6, n_max=300, n_trajectories=5000, seed=11)
-    records = [run_trajectory(p, r, cfg, k, model="adiabatic")
-               for k in range(cfg.n_trajectories)]
-    curve = accumulate(records)
-    p_true = np.array(records[0].p1_curve)
+    batch = run_trajectories(p, r, cfg, model="adiabatic")
+    curve = accumulate(batch)
+    p_true = batch.p1_curve
     z = (curve.p1_mean - p_true) / np.sqrt(
         np.maximum(p_true * (1 - p_true), 1e-9) / cfg.n_trajectories)
     zmax = float(np.max(np.abs(z)))
     f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_trajectories(f1, records)
-    write_trajectories(f2, records)
+    write_trajectories(f1, batch)
+    write_trajectories(f2, batch)
     ok = zmax < 4.0 and f1.read_bytes() == f2.read_bytes()
     report(6, "Monte Carlo protocol statistics and reproducibility", ok,
            f"max |z| = {zmax:.2f}")

@@ -258,8 +258,10 @@ class TestExitCodes:
         (["design", "--target-gamma-2pikhz", "nan",
           "--target-big-gamma-2pikhz", "500"], ""),
         (["sweep", "--axis", "physical.i0=abc"], ""),
+        (["trajectories", "--seed", "-1"], ""),
     ], ids=["i0-nan", "omega-inf", "dt-nan", "r1-negative", "r1-nan", "n0-nan",
-            "i0-null", "probe-nan", "bright-negative", "target-nan", "axis-text"])
+            "i0-null", "probe-nan", "bright-negative", "target-nan", "axis-text",
+            "seed-negative"])
     def test_invalid_number_exit_2(self, tmp_path, capsys, argv, doc):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(doc)
