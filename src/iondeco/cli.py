@@ -13,9 +13,11 @@ design.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -34,7 +36,8 @@ from .errors import (
 )
 from .fitting import effective_from_fit, fit_nutation
 from .model import TWO_PI_KHZ, effective_rates
-from .protocol import accumulate, run_trajectories, write_curve_csv, write_trajectories
+from .protocol import (accumulate, format_table, run_trajectories, write_curve_csv,
+                       write_trajectories)
 
 _NUMERICAL_ERRORS = (
     RegimeViolation,
@@ -55,28 +58,22 @@ _OVERRIDES = {
     "seed": ("protocol.seed", int),
 }
 
+_SERIES_COLUMNS = "theta_rad,tau_s,p1,n0,n1,n2,n3"
+
 
 def _add_common(parser):
     parser.add_argument("--config", help="YAML run configuration")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--i0", type=float)
-    parser.add_argument("--alpha-deg", type=float)
-    parser.add_argument("--b-field-2pikhz", type=float)
-    parser.add_argument("--omega-2pikhz", type=float)
-    parser.add_argument("--detuning-2pikhz", type=float)
-    parser.add_argument("--dt-us", type=float)
-    parser.add_argument("--nmax", type=int)
-    parser.add_argument("--ntraj", type=int)
+    for attr, (_, cast) in _OVERRIDES.items():
+        parser.add_argument("--" + attr.replace("_", "-"), type=cast)
 
 
 def _build_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    for attr, (path, cast) in _OVERRIDES.items():
-        value = getattr(args, attr, None)
+    for attr, (path, _) in _OVERRIDES.items():
+        value = getattr(args, attr)
         if value is not None:
-            cfg.set_path(path, cast(value))
+            cfg.set_path(path, value)
     return cfg
 
 
@@ -140,26 +137,17 @@ def _simulate_series(cfg: RunConfig):
     return params, series
 
 
-def _series_rows(params, series) -> list[str]:
-    rows = []
-    for i in range(1, len(series.t)):
-        u, v, n0, n1, n2, n3 = series.y[i]
-        tau = series.t[i]
-        rows.append(
-            f"{params.omega_mw * tau:.12g},{tau:.12g},{n1 + n2:.12g},"
-            f"{n0:.12g},{n1:.12g},{n2:.12g},{n3:.12g}"
-        )
-    return rows
+def _series_table(params, series) -> np.ndarray:
+    """Rows [theta, tau, p1 = n1 + n2, n0, n1, n2, n3] after t = 0."""
+    t, y = series.t[1:], series.y[1:]
+    return np.column_stack([params.omega_mw * t, t, y[:, 3] + y[:, 4], y[:, 2:]])
 
 
 def cmd_simulate(args) -> int:
     cfg = _build_config(args)
     params, series = _simulate_series(cfg)
-    lines = [f"# {p}" for p in _provenance(cfg)]
-    lines.append(f"# dt_us={cfg.data['protocol']['dt_us']!r}")
-    lines.append("theta_rad,tau_s,p1,n0,n1,n2,n3")
-    lines += _series_rows(params, series)
-    _emit("\n".join(lines) + "\n", args.out)
+    header = _provenance(cfg) + [f"dt_us={cfg.data['protocol']['dt_us']!r}"]
+    _emit(format_table(header, _SERIES_COLUMNS, _series_table(params, series)), args.out)
     return 0
 
 
@@ -184,31 +172,33 @@ def read_curve_file(path):
     Returns (tau, p1, sigma): sigma is derived from the Wilson bounds of
     accumulated curves and None for deterministic curves.
     """
-    header = {}
-    rows = []
-    columns = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("# ")
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    header[key.strip()] = val.strip().strip("'\"")
-                continue
-            if columns is None:
-                columns = line.split(",")
-                continue
-            rows.append([float(x) for x in line.split(",")])
-    if columns is None or not rows:
+    header, columns = {}, None
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if line.startswith("#"):
+                    key, eq, val = line.lstrip("# ").partition("=")
+                    if eq:
+                        header[key.strip()] = val.strip().strip("'\"")
+                elif line:
+                    columns = line.split(",")
+                    break
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body is reported below
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        dt_us = float(header["dt_us"]) if "dt_us" in header else None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if columns is None or not len(table):
         raise ConfigError(f"no data rows in {path}")
-    data = {c: np.array([r[i] for r in rows]) for i, c in enumerate(columns)}
+    if table.shape[1] != len(columns) or not np.isfinite(table).all():
+        raise ConfigError(f"{path}: every row must hold {len(columns)} finite values")
+    data = dict(zip(columns, table.T))
     if "tau_s" in data:
         tau = data["tau_s"]
-    elif "N" in data and "dt_us" in header:
-        tau = data["N"] * float(header["dt_us"]) * 1e-6
+    elif "N" in data and dt_us is not None:
+        tau = data["N"] * dt_us * 1e-6
     else:
         raise ConfigError(f"{path}: no time axis (need tau_s column or dt_us header)")
     if "p1" in data:
@@ -222,6 +212,9 @@ def read_curve_file(path):
 
 
 def cmd_fit(args) -> int:
+    omega_in = args.omega_2pikhz
+    if omega_in is not None and not 0 < omega_in < math.inf:
+        raise ConfigError(f"--omega-2pikhz must be positive and finite, got {omega_in!r}")
     tau, p1, sigma = read_curve_file(args.curve)
     fit = fit_nutation(tau, p1, sigma=sigma)
     doc = {
@@ -236,7 +229,7 @@ def cmd_fit(args) -> int:
         "converged": fit.converged,
         "iterations": fit.iterations,
     }
-    omega_mw = (args.omega_2pikhz or fit.omega_fit / TWO_PI_KHZ) * TWO_PI_KHZ
+    omega_mw = (fit.omega_fit / TWO_PI_KHZ if omega_in is None else omega_in) * TWO_PI_KHZ
     try:
         eff = effective_from_fit(fit, omega_mw)
         ratio = None
@@ -306,26 +299,26 @@ def cmd_sweep(args) -> int:
         values = sorted(float(v) for v in valspec.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigError(f"bad --axis value: {exc}") from exc
-    lines = [f"# {p}" for p in _provenance(cfg)]
-    lines.append(f"# axis={path}")
-    rows = []
+    header = _provenance(cfg) + [f"axis={path}"]
+    tables = [np.empty((0, 8))]  # an empty axis still makes a table of 8 columns
     for value in values:
         cfg.set_path(path, value)
         params, series = _simulate_series(cfg)
         # the hash of the config that produced this value's rows
-        lines.append(f"# config_hash[{value:.12g}]={cfg.hash()}")
-        rows += [f"{value:.12g},{row}" for row in _series_rows(params, series)]
-    lines.append("axis_value,theta_rad,tau_s,p1,n0,n1,n2,n3")
+        header.append(f"config_hash[{value:.12g}]={cfg.hash()}")
+        tables.append(np.insert(_series_table(params, series), 0, value, axis=1))
+    text = format_table(header, "axis_value," + _SERIES_COLUMNS, np.concatenate(tables))
     if not values:
-        lines.append("# empty axis: config echo follows")
-        lines += [f"# {line}" for line in cfg.serialize().splitlines()]
-    _emit("\n".join(lines + rows) + "\n", args.out)
+        echo = ["empty axis: config echo follows", *cfg.serialize().splitlines()]
+        text += "".join(f"# {line}\n" for line in echo)
+    _emit(text, args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built at the first main call; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iondeco",
@@ -376,8 +369,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        loc = f" (at {exc.location})" if exc.location else ""
+    except (ConfigError, OSError) as exc:  # OSError: an unreadable input or unwritable --out
+        loc = f" (at {exc.location})" if getattr(exc, "location", None) else ""
         print(f"config error: {exc}{loc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

@@ -206,6 +206,15 @@ def accumulate(batch: TrajectoryBatch, z: float = 1.96) -> AccumulatedCurve:
 # ---------------------------------------------------------------------------
 # serialization
 
+def format_table(header: list[str], columns: str, table: np.ndarray) -> str:
+    """CSV text of a curve table: a '# <line>' per header line, the column
+    line, then one line per row of the 2-D array with every value as %.12g
+    (exact for the integer columns N and n_samples, which stay below 1e12)."""
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    head = "".join(f"# {line}\n" for line in header)
+    return f"{head}{columns}\n" + row * len(table) % tuple(table.ravel().tolist())
+
+
 def _config_header(cfg: ProtocolConfig, omega_mw: float) -> list[str]:
     items = asdict(cfg)
     det = items.pop("detection")
@@ -251,12 +260,8 @@ def read_trajectories(path) -> tuple[dict, np.ndarray]:
 
 def write_curve_csv(path, curve: AccumulatedCurve, provenance: list[str] | None = None):
     """CSV columns: N, theta_rad, p1_mean, ci_low, ci_high, n_samples."""
+    table = np.column_stack([curve.n, curve.theta_rad, curve.p1_mean, curve.ci_low,
+                             curve.ci_high, np.full(len(curve.n), curve.n_samples)])
     with open(path, "w") as fh:
-        for line in provenance or []:
-            fh.write(f"# {line}\n")
-        fh.write("N,theta_rad,p1_mean,ci_low,ci_high,n_samples\n")
-        for i in range(len(curve.n)):
-            fh.write(
-                f"{curve.n[i]},{curve.theta_rad[i]:.12g},{curve.p1_mean[i]:.12g},"
-                f"{curve.ci_low[i]:.12g},{curve.ci_high[i]:.12g},{curve.n_samples}\n"
-            )
+        fh.write(format_table(provenance or [],
+                              "N,theta_rad,p1_mean,ci_low,ci_high,n_samples", table))

@@ -4,11 +4,14 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
-from iondeco.cli import main, read_curve_file
+from iondeco import __version__
+from iondeco.cli import _OVERRIDES, _simulate_series, main, read_curve_file
 from iondeco.config import RunConfig
 from iondeco.errors import ConfigError
 from iondeco.model import TWO_PI_KHZ
+from iondeco.protocol import AccumulatedCurve, format_table, write_curve_csv
 
 
 class TestRunConfig:
@@ -269,3 +272,149 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["fit", "{curve}"], "theta_rad,tau_s,p1\n0.1,1e-4,0.5\n0.2,2e-4,abc\n"),
+        (["fit", "{curve}"], "tau_s,p1,n0\n{good}"),
+        (["fit", "{curve}"], "tau_s,p1\n{good}1e-3,nan\n"),
+        (["fit", "{curve}"], "theta_rad,tau_s,p1\n0.1,1e-4,0.5\n0.2,2e-4\n"),
+        (["fit", "{curve}"], "# seed=0\ntheta_rad,tau_s,p1\n\n# no rows\n"),
+        (["fit", "{curve}"], "# dt_us=fast\nN,p1_mean\n1,0.5\n"),
+        (["fit", "{curve}"], "\xff\xfe"),
+        (["fit", "{dir}/missing.csv"], None),
+        (["simulate", "--nmax", "5", "--out", "{dir}/no/such/dir/x.csv"], None),
+        (["fit", "{curve}", "--omega-2pikhz", "nan"], "tau_s,p1\n{good}"),
+        (["fit", "{curve}", "--omega-2pikhz", "inf"], "tau_s,p1\n{good}"),
+        (["fit", "{curve}", "--omega-2pikhz", "0"], "tau_s,p1\n{good}"),
+        (["fit", "{curve}", "--omega-2pikhz", "-4.2"], "tau_s,p1\n{good}"),
+    ], ids=["text-cell", "short-rows", "nan-cell", "ragged-rows", "no-rows", "dt-text",
+            "not-text", "missing-file", "out-dir-missing", "omega-nan", "omega-inf",
+            "omega-zero", "omega-negative"])
+    def test_bad_input_exit_2(self, tmp_path, capsys, argv, text):
+        # {good}: rows (tau_s, p1) of a damped nutation that the fit resolves
+        tau = np.arange(1, 301) * 1e-4
+        p1 = 2 / 3 * (1 - np.exp(-300 * tau) * np.cos(4.2 * TWO_PI_KHZ * tau))
+        good = "".join(f"{t!r},{p!r}\n" for t, p in zip(tau.tolist(), p1.tolist()))
+        curve = tmp_path / "curve.csv"
+        if text is not None:
+            curve.write_bytes(text.replace("{good}", good).encode("latin-1"))
+        rc = main([a.format(curve=curve, dir=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def _reference_series_rows(params, series):
+    """The deleted cli._series_rows loop, verbatim."""
+    rows = []
+    for i in range(1, len(series.t)):
+        u, v, n0, n1, n2, n3 = series.y[i]
+        tau = series.t[i]
+        rows.append(
+            f"{params.omega_mw * tau:.12g},{tau:.12g},{n1 + n2:.12g},"
+            f"{n0:.12g},{n1:.12g},{n2:.12g},{n3:.12g}"
+        )
+    return rows
+
+
+def _edge_floats(rng, n):
+    """Random magnitudes from 1e-300 to 1e300 of either sign, then +-0,
+    +-inf, nan and two subnormals."""
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    return np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310]])
+
+
+class TestCurveTables:
+    def test_format_table_matches_reference(self):
+        rng = np.random.default_rng(5)
+        x = _edge_floats(rng, 400)
+        ints = rng.integers(0, 10**12, len(x)).astype(float)
+        ints[:4] = [0, 1, 10**11, 10**12 - 1]  # %.12g is exact below 1e12
+        table = np.column_stack([ints, x, rng.permutation(x), x[::-1]])
+        text = format_table(["tool 1", "k=v"], "N,a,b,c", table)
+        lines = text.split("\n")
+        assert lines[:3] == ["# tool 1", "# k=v", "N,a,b,c"]
+        # the per-row f-strings that format_table replaced; N was printed as an int
+        reference = [",".join([str(int(row[0]))] + [f"{v:.12g}" for v in row[1:]])
+                     for row in table]
+        assert lines[3:] == reference + [""]
+
+    def test_empty_table(self):
+        assert format_table(["h"], "a,b", np.empty((0, 2))) == "# h\na,b\n"
+
+    def test_write_curve_csv_matches_reference(self, tmp_path):
+        rng = np.random.default_rng(6)
+        x = _edge_floats(rng, 100)
+        n = np.arange(1, len(x) + 1)
+        curve = AccumulatedCurve(n=n, theta_rad=x, tau_s=n * 1e-4, p1_mean=x[::-1],
+                                 ci_low=rng.permutation(x), ci_high=x, n_samples=10**12 - 1)
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, curve, provenance=["iondeco test", "dt_us=100.0"])
+        reference = [f"{curve.n[i]},{curve.theta_rad[i]:.12g},{curve.p1_mean[i]:.12g},"
+                     f"{curve.ci_low[i]:.12g},{curve.ci_high[i]:.12g},{curve.n_samples}"
+                     for i in range(len(curve.n))]
+        lines = path.read_text().splitlines()
+        assert lines[:3] == ["# iondeco test", "# dt_us=100.0",
+                             "N,theta_rad,p1_mean,ci_low,ci_high,n_samples"]
+        assert lines[3:] == reference
+
+    def test_simulate_matches_reference(self, tmp_path):
+        args = ["--i0", "3e-4", "--alpha-deg", "60", "--nmax", "80", "--dt-us", "7"]
+        out = tmp_path / "curve.csv"
+        assert main(["simulate", *args, "--out", str(out)]) == 0
+        cfg = RunConfig({"physical": {"i0": 3e-4, "alpha_deg": 60.0},
+                         "protocol": {"n_max": 80, "dt_us": 7.0}})
+        params, series = _simulate_series(cfg)
+        lines = out.read_text().splitlines()
+        assert lines[:5] == [f"# iondeco {__version__}", f"# config_hash={cfg.hash()}",
+                             "# seed=0", "# dt_us=7.0", "theta_rad,tau_s,p1,n0,n1,n2,n3"]
+        assert lines[5:] == _reference_series_rows(params, series)
+
+    def test_sweep_matches_reference(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--i0", "2e-4", "--nmax", "40", "--out", str(out),
+                     "--axis", "physical.alpha_deg=60,30,45"]) == 0
+        cfg = RunConfig({"physical": {"i0": 2e-4}, "protocol": {"n_max": 40}})
+        reference = []
+        for value in (30.0, 45.0, 60.0):
+            cfg.set_path("physical.alpha_deg", value)
+            params, series = _simulate_series(cfg)
+            rows = _reference_series_rows(params, series)
+            reference += [f"{value:.12g},{row}" for row in rows]
+        lines = out.read_text().splitlines()
+        start = lines.index("axis_value,theta_rad,tau_s,p1,n0,n1,n2,n3") + 1
+        assert lines[start:] == reference
+
+
+# a value for each override flag that differs from the config default
+_FLAG_VALUES = {"i0": "1e-4", "alpha_deg": "30", "b_field_2pikhz": "100",
+                "omega_2pikhz": "5", "detuning_2pikhz": "1", "dt_us": "20",
+                "nmax": "7", "ntraj": "3", "seed": "9"}
+
+
+class TestOverrideFlags:
+    @staticmethod
+    def _hash(capsys, argv):
+        assert main(["simulate", *argv]) == 0
+        return re.search(r"^# config_hash=(\w+)$", capsys.readouterr().out, re.M).group(1)
+
+    @pytest.mark.parametrize("attr", list(_OVERRIDES))
+    def test_flag_sets_its_config_key(self, tmp_path, capsys, attr):
+        path, cast = _OVERRIDES[attr]
+        section, key = path.split(".")
+        base = {"protocol": {"n_max": 5}}
+        keyed = {**base, section: {**base.get(section, {}), key: cast(_FLAG_VALUES[attr])}}
+        for name, doc in (("base", base), ("keyed", keyed)):
+            (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(doc))
+        flag = "--" + attr.replace("_", "-")
+        by_flag = self._hash(capsys, ["--config", str(tmp_path / "base.yaml"),
+                                      flag, _FLAG_VALUES[attr]])
+        by_yaml = self._hash(capsys, ["--config", str(tmp_path / "keyed.yaml")])
+        unset = self._hash(capsys, ["--config", str(tmp_path / "base.yaml")])
+        assert by_flag == by_yaml != unset
+
+    def test_format_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--format", "csv"])
+        assert exc.value.code == 2
