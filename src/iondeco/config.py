@@ -11,6 +11,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 
 import yaml
 
@@ -18,6 +19,23 @@ from .dynamics import SystemState
 from .errors import ConfigError
 from .model import TWO_PI_KHZ, PhysicalParams, ScatteringRates, scattering_rates
 from .protocol import DetectionModel, ProtocolConfig
+
+
+class _Loader(yaml.CSafeLoader):
+    """libyaml's safe loader that also reads 3e-4 and 1.5e3 as floats, as
+    YAML 1.2 does: YAML 1.1 wants a dot and a signed exponent."""
+
+    # a copy, so that the resolver added below stays out of yaml's loaders
+    yaml_implicit_resolvers = {
+        k: list(v) for k, v in yaml.CSafeLoader.yaml_implicit_resolvers.items()
+    }
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 DEFAULTS = {
     "physical": {
@@ -121,7 +139,7 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         try:
             with open(path) as fh:
-                raw = yaml.safe_load(fh)
+                raw = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config parse error in {path}: {exc}") from exc
         except OSError as exc:
@@ -131,7 +149,7 @@ class RunConfig:
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
         try:
-            raw = yaml.safe_load(text)
+            raw = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config parse error: {exc}") from exc
         return cls(raw or {})

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import InfeasibleDesign
 from .model import PhysicalParams, effective_rates, lorentzian, scattering_rates
@@ -159,6 +158,8 @@ def design_decoherence(
     if hi <= lo:
         zeeman = lo
     else:
+        from scipy.optimize import minimize_scalar  # only this branch needs scipy
+
         res = minimize_scalar(required_i0, bounds=(lo, hi), method="bounded")
         zeeman = float(res.x)
     if not math.isfinite(required_i0(zeeman)):

@@ -16,9 +16,12 @@ v = 2 Im rho01 in the microwave rotating frame.
 Every variant is linear and time-invariant, dy/dt = A y, with A fixed by
 (params, rates).  Evolution on a uniform grid of step h is therefore exact:
 one propagator P = expm(A h) and one mat-vec per grid point (Moler & Van
-Loan, SIAM Rev. 45 (2003); Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31
-(2009)).  No eigendecomposition is used: A is defective at zero light and
-at Omega = 0.
+Loan, SIAM Rev. 45 (2003)).  expm is numpy-only Pade-13 with scaling and
+squaring (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)), so evolution
+needs no scipy.  No eigendecomposition is used: A is defective at zero
+light and at Omega = 0.  The full and adiabatic models conserve the
+populations n0..n3 (n0..n2); their step matrix is made to conserve them
+to rounding, so the trace does not drift over many steps.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import RegimeViolation
 from .model import PhysicalParams, ScatteringRates, light_flux, lorentzian
@@ -36,6 +38,21 @@ _ADIABATIC_SATURATION_LIMIT = 0.1
 # Largest deviation of a grid step from uniform, relative to the step, on
 # top of the rounding of the time points themselves.
 _GRID_TOLERANCE = 1e-9
+
+# Pade-13 numerator coefficients b_0..b_13, and the 1-norm theta_13 up to
+# which the unscaled approximant has backward error below the unit roundoff
+# of double precision (Higham 2005).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+# The population variables start at this index in the full and adiabatic
+# state vectors: [u, v, n0, ...].
+_FIRST_POPULATION = 2
 
 
 @dataclass(frozen=True)
@@ -98,6 +115,9 @@ def generator(
 
     model "adiabatic": 5x5 on [u, v, n0, n1, n2], n3 eliminated: the
     scattered flux r1*n1 + r2*n2 redistributes instantly.
+
+    Each population diagonal entry is minus the rates out of that level, so
+    the population columns sum to exactly 0 in floating point.
     """
     om = params.omega_mw
     dmw = params.delta_mw
@@ -113,7 +133,7 @@ def generator(
                 [0.0, -0.5 * om, 0.0, 0.0, 0.0, 0.0],
                 [0.0, 0.5 * om, 0.0, -r1, 0.0, b1 * g3],
                 [0.0, 0.0, 0.0, 0.0, -r2, b2 * g3],
-                [0.0, 0.0, 0.0, r1, r2, -g3],
+                [0.0, 0.0, 0.0, r1, r2, -(b1 * g3 + b2 * g3)],
             ]
         )
     if model == "adiabatic":
@@ -122,24 +142,67 @@ def generator(
                 [-gc, -dmw, 0.0, 0.0, 0.0],
                 [dmw, -gc, om, -om, 0.0],
                 [0.0, -0.5 * om, 0.0, 0.0, 0.0],
-                [0.0, 0.5 * om, 0.0, -r1 + b1 * r1, b1 * r2],
-                [0.0, 0.0, 0.0, b2 * r1, -r2 + b2 * r2],
+                [0.0, 0.5 * om, 0.0, -b2 * r1, b1 * r2],
+                [0.0, 0.0, 0.0, b2 * r1, -b1 * r2],
             ]
         )
     raise ValueError(f"unknown model variant {model!r}")
 
 
-def _propagate(A: np.ndarray, y0, t_grid: np.ndarray) -> np.ndarray:
-    """States expm(A t) @ y0 at the points of a uniform grid, shape (n, len(y0))."""
+def _expm(M: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005).
+
+    The squaring works on X = R - I, as R^2 - I = 2X + X^2.  Squaring R
+    itself rounds entries near 1 at 1e-16, and s squarings amplify that by
+    2^s (about 1e4 for a stiff full-model step) in the slow modes, whose
+    part of X is small and so rounds at its own scale.
+    """
+    b = _PADE13
+    norm = np.linalg.norm(M, 1)
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    M = M / 2.0**s
+    eye = np.eye(len(M))
+    M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
+    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye)
+    X = np.linalg.solve(V - U, 2.0 * U)  # (V - U)^-1 (V + U) - I
+    for _ in range(s):
+        X = 2.0 * X + X @ X
+    return X + eye
+
+
+def _propagate(
+    A: np.ndarray, y0, t_grid: np.ndarray, conserving: bool = True
+) -> np.ndarray:
+    """States expm(A t) @ y0 at the points of a uniform grid, shape (n, len(y0)).
+
+    conserving: the entries from _FIRST_POPULATION on are populations whose
+    sum A conserves.  The last population row of each propagator is then
+    rebuilt from the others, so the propagator conserves that sum to
+    rounding however large |A h| is.
+    """
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a non-empty 1-d array")
     h = (t_grid[-1] - t_grid[0]) / max(t_grid.size - 1, 1)
     rounding = 4 * np.finfo(float).eps * np.abs(t_grid).max()
     if np.any(np.abs(np.diff(t_grid) - h) > _GRID_TOLERANCE * abs(h) + rounding):
         raise ValueError("t_grid must be uniformly spaced")
+
+    def propagator(t):
+        P = _expm(A * t)
+        if conserving:
+            e = np.zeros(len(A))
+            e[_FIRST_POPULATION:] = 1.0
+            P[-1] = e - P[_FIRST_POPULATION:-1].sum(axis=0)
+        return P
+
     ys = np.empty((t_grid.size, len(y0)))
-    ys[0] = expm(A * t_grid[0]) @ np.asarray(y0, dtype=float)
-    step = expm(A * h)
+    ys[0] = propagator(t_grid[0]) @ np.asarray(y0, dtype=float)
+    step = propagator(h)
     for i in range(1, t_grid.size):
         ys[i] = step @ ys[i - 1]
     return ys
@@ -220,7 +283,7 @@ def integrate_effective_two_level(
         ]
     )
     t_grid = np.asarray(t_grid, dtype=float)
-    ys = _propagate(A, [*initial, 1.0], t_grid)
+    ys = _propagate(A, [*initial, 1.0], t_grid, conserving=False)
     w, u, v = ys[:, 0], ys[:, 1], ys[:, 2]
     zero = np.zeros_like(w)
     y6 = np.column_stack([u, v, (1 - w) / 2, (1 + w) / 2, zero, zero])

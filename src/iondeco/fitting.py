@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .errors import DegenerateRates, OscillationUnresolved, OutOfRange
 from .model import EffectiveRates
@@ -81,9 +80,12 @@ def fit_nutation(t, p1, sigma=None, max_iter: int = 200) -> NutationFit:
     detr = y - p_inf0
     omega0 = _spectral_peak(s, detr)
 
-    # envelope decay from log-linear regression on the analytic-signal modulus
+    # scipy is imported here, not at module level, so that commands that do
+    # not fit start without loading it
+    from scipy.optimize import least_squares, minimize
     from scipy.signal import hilbert
 
+    # envelope decay from log-linear regression on the analytic-signal modulus
     env = np.abs(hilbert(detr))
     core = slice(len(env) // 10, max(len(env) // 10 + 2, 9 * len(env) // 10))
     pos = env[core] > 1e-12 * max(env.max(), 1e-300)

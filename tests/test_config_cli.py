@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import iondeco
 from iondeco import __version__
 from iondeco.cli import _OVERRIDES, _simulate_series, main, read_curve_file
 from iondeco.config import RunConfig
@@ -240,6 +245,27 @@ class TestExitCodes:
         assert main(["rates", "--config", str(cfg)]) == 2
         assert "physical.bogus_key" in capsys.readouterr().err
 
+    def test_yaml_exponent_without_dot(self, tmp_path, capsys):
+        # YAML 1.1 reads 3e-4 as a string; the config loader reads it as
+        # YAML 1.2 does, so it is the same document as 3.0e-4
+        hashes = []
+        for name, doc in (("nodot", "i0: 3e-4"), ("dot", "i0: 3.0e-4"), ("unset", "")):
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(f"physical:\n  {doc}\n")
+            assert main(["simulate", "--config", str(cfg), "--nmax", "5"]) == 0
+            out = capsys.readouterr().out
+            hashes.append(re.search(r"^# config_hash=(\w+)$", out, re.M).group(1))
+        assert hashes[0] == hashes[1] != hashes[2]
+
+    @pytest.mark.parametrize("doc", ["physical: [unclosed\n", "physical:\n  i0: 3e\n"],
+                             ids=["parse-error", "not-a-number"])
+    def test_bad_yaml_exit_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(doc)
+        assert main(["rates", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+
     def test_regime_violation_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "strong.yaml"
         cfg.write_text(
@@ -323,6 +349,54 @@ def _edge_floats(rng, n):
     +-inf, nan and two subnormals."""
     x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
     return np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310]])
+
+
+_FRESH_PROCESS = """
+import json, sys
+from iondeco.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _run_fresh(argvs):
+    """Run `main` on each argv in a fresh interpreter; return the exit codes
+    and the scipy modules loaded by the end."""
+    src = str(Path(iondeco.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_commands_without_a_fit_load_no_scipy(self, tmp_path):
+        result = _run_fresh([
+            ["rates", "--i0", "1e-3", "--alpha-deg", "60"],
+            ["simulate", "--i0", "3e-4", "--alpha-deg", "60", "--nmax", "20",
+             "--out", str(tmp_path / "curve.csv")],
+            ["sweep", "--axis", "physical.i0=1e-4,2e-4", "--nmax", "10",
+             "--out", str(tmp_path / "sweep.csv")],
+            ["trajectories", "--nmax", "10", "--ntraj", "4",
+             "--out", str(tmp_path / "traj")],
+            ["design", "--omega-2pikhz", "10", "--b-field-2pikhz", "5000",
+             "--target-gamma-2pikhz", "0.1", "--target-big-gamma-2pikhz", "500"],
+        ])
+        assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+
+    def test_fit_still_loads_scipy(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("rates:\n  r1_2pikhz: 0.2\n  r2_2pikhz: 0.4\n"
+                       "integrator:\n  model: adiabatic\n"
+                       "protocol:\n  n_max: 300\n  dt_us: 100.0\n")
+        curve = str(tmp_path / "curve.csv")
+        result = _run_fresh([["simulate", "--config", str(cfg), "--out", curve],
+                             ["fit", curve, "--omega-2pikhz", "4.2"]])
+        assert result["codes"] == [0, 0]
+        assert "scipy.optimize" in result["scipy"]
 
 
 class TestCurveTables:
