@@ -2,9 +2,19 @@
 magnetic field to realize target effective relaxation rates.
 
 The target (gamma, Gamma) fixes the required per-atom scattering rates
-r1 = gamma - gamma_ph_extra and r2 = Omega^2 / Gamma.  The weak-field
-closed form gives tan^2(alpha) and i0 directly; a short damped-Newton
-loop on the exact saturating expressions then removes the O(I) error.
+r1 = gamma - gamma_ph_extra and r2 = Omega^2 / Gamma.  Every line
+saturates as p = (1/2) x / (1 + x) with x = I(m) L(m), so at a fixed
+Zeeman splitting the knobs follow in closed form, with no iteration:
+
+- the pi line fixes x0 = q / (1 - q) with q = 2 r1 / gamma3, so
+  c = i0 cos^2(alpha) = x0 / L0;
+- with s = i0 sin^2(alpha) and T = 2 r2 / gamma3, the sigma lines give
+  (2 - T) L+ L- s^2 + (1 - T) (L+ + L-) s - T = 0, whose one positive
+  root is s;
+- i0 = c + s and alpha = atan(sqrt(s / c)).
+
+With optimize_b a bounded scalar search picks the splitting that needs
+the least light.
 """
 
 from __future__ import annotations
@@ -12,13 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import InfeasibleDesign
-from .model import PhysicalParams, effective_rates, lorentzian, scattering_rates
-
-_MAX_NEWTON_ITER = 20
-_REL_TOL = 1e-9
+from .model import PhysicalParams, effective_rates, line_shape, scattering_rates
 
 
 @dataclass(frozen=True)
@@ -35,20 +40,14 @@ class DesignTarget:
             raise ValueError("targets must be finite and positive")
         for name in ("i0_bounds", "alpha_bounds", "b_bounds"):
             lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} must be well-ordered")
+            if not lo <= hi:  # also false for a NaN bound
+                raise ValueError(f"{name} must be well-ordered numbers")
+        if self.optimize_b and not all(map(math.isfinite, self.b_bounds)):
+            raise ValueError("b_bounds must be finite to optimize the field")
 
 
-def _exact_rates(template: PhysicalParams, i0, alpha, zeeman):
-    p = replace(template, i0=i0, alpha=alpha, zeeman_delta=zeeman)
-    r = scattering_rates(p)
-    return np.array([r.r1, r.r2])
-
-
-def _solve_fixed_b(
-    target: DesignTarget, template: PhysicalParams, zeeman: float
-) -> tuple[float, float]:
-    """Solve (i0, alpha) at fixed Zeeman splitting; raises InfeasibleDesign."""
+def _required_rates(target: DesignTarget, template: PhysicalParams) -> tuple[float, float]:
+    """Scattering rates (r1, r2) the target asks for; raises InfeasibleDesign."""
     r1_req = target.gamma_target - template.gamma_ph_extra
     if r1_req <= 0:
         raise InfeasibleDesign(
@@ -56,68 +55,48 @@ def _solve_fixed_b(
             constraint="gamma_ph_extra",
         )
     r2_req = template.omega_mw**2 / target.Gamma_target
-    g3 = template.gamma3
-    probe = replace(template, zeeman_delta=zeeman)
-    l0 = lorentzian(probe, 0)
-    lp = lorentzian(probe, +1)
-    lm = lorentzian(probe, -1)
-
+    if r2_req == 0:
+        raise InfeasibleDesign(
+            "target Gamma needs a microwave drive, and omega_mw is zero",
+            constraint="omega_mw",
+        )
     # saturation ceilings of the exact formulas
-    if r1_req >= 0.5 * g3:
+    if r1_req >= 0.5 * template.gamma3:
         raise InfeasibleDesign(
             "target gamma demands r1 beyond the saturation ceiling gamma3/2",
             constraint="r1_saturation",
         )
-    if r2_req >= g3:
+    if r2_req >= template.gamma3:
         raise InfeasibleDesign(
             "target Gamma demands r2 beyond the saturation ceiling gamma3",
             constraint="r2_saturation",
         )
+    return r1_req, r2_req
 
-    # weak-field closed form
-    ratio = r2_req / r1_req
-    tan2 = ratio * l0 / (lp + lm)
-    alpha = math.atan(math.sqrt(tan2))
-    i0 = 2.0 * r1_req / (math.cos(alpha) ** 2 * l0 * g3)
 
-    # damped Newton on the exact saturating rates
-    x = np.array([math.log(i0), alpha])
-    req = np.array([r1_req, r2_req])
+def _solve_fixed_b(
+    target: DesignTarget, template: PhysicalParams, zeeman: float
+) -> tuple[float, float]:
+    """Closed-form (i0, alpha) at fixed Zeeman splitting, checked against the
+    knob bounds; raises InfeasibleDesign.  Float arithmetic only, so the
+    optimize-B search can afford it at every probe."""
+    r1_req, r2_req = _required_rates(target, template)
+    g3 = template.gamma3
+    l0, lp, lm = (line_shape(g3, -template.delta_laser + m * zeeman) for m in (0, 1, -1))
+    q, T = 2.0 * r1_req / g3, 2.0 * r2_req / g3
+    a1 = (1.0 - T) * (lp + lm)
+    a2 = (2.0 - T) * lp * lm
+    try:
+        c = q / (1.0 - q) / l0
+        root_d = math.sqrt(a1 * a1 + 4.0 * a2 * T)
+        # the positive root, in whichever form does not cancel
+        s = 2.0 * T / (a1 + root_d) if a1 >= 0 else (root_d - a1) / (2.0 * a2)
+    except ZeroDivisionError:  # a line shape underflowed: no finite light suffices
+        c = s = math.inf
+    i0, alpha = c + s, math.atan2(math.sqrt(s), math.sqrt(c))
 
-    def f(x):
-        return _exact_rates(template, math.exp(x[0]), x[1], zeeman) / req - 1.0
-
-    fx = f(x)
-    for _ in range(_MAX_NEWTON_ITER):
-        if np.max(np.abs(fx)) < _REL_TOL:
-            break
-        jac = np.empty((2, 2))
-        for j, h in enumerate((1e-7, 1e-7)):
-            xp = x.copy()
-            xp[j] += h
-            jac[:, j] = (f(xp) - fx) / h
-        try:
-            step = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        for _damp in range(20):
-            xn = x + scale * step
-            xn[1] = min(max(xn[1], 0.0), math.pi / 2)
-            fn = f(xn)
-            if np.max(np.abs(fn)) < np.max(np.abs(fx)):
-                x, fx = xn, fn
-                break
-            scale /= 2.0
-
-    i0, alpha = math.exp(x[0]), x[1]
-    if np.max(np.abs(fx)) > 1e-4:
-        raise InfeasibleDesign(
-            "exact-rate correction did not converge to the target",
-            constraint="convergence",
-        )
     lo, hi = target.i0_bounds
-    if not lo <= i0 <= hi:
+    if not (lo <= i0 <= hi and i0 < math.inf):
         raise InfeasibleDesign(
             f"required i0 = {i0:.4g} outside bounds [{lo:.4g}, {hi:.4g}]",
             constraint="i0_bounds",
@@ -131,6 +110,29 @@ def _solve_fixed_b(
     return i0, alpha
 
 
+def _least_light_zeeman(target: DesignTarget, template: PhysicalParams) -> float:
+    """Zeeman splitting inside b_bounds that needs the least i0; raises
+    InfeasibleDesign (b_bounds) when no splitting there is feasible."""
+    lo, hi = target.b_bounds
+
+    def required_i0(z):
+        try:
+            return _solve_fixed_b(target, template, float(z))[0]
+        except InfeasibleDesign:
+            return math.inf
+
+    zeeman = lo
+    if hi > lo:
+        from scipy.optimize import minimize_scalar  # only this branch needs scipy
+
+        zeeman = float(minimize_scalar(required_i0, bounds=(lo, hi), method="bounded").x)
+    if required_i0(zeeman) == math.inf:
+        raise InfeasibleDesign(
+            "no feasible Zeeman splitting within b_bounds", constraint="b_bounds"
+        )
+    return zeeman
+
+
 def design_decoherence(
     target: DesignTarget, params_template: PhysicalParams
 ) -> tuple[float, float, float]:
@@ -141,32 +143,18 @@ def design_decoherence(
     the template value; with optimize_b the splitting is chosen inside
     b_bounds to minimize the required light level.
     """
-    if not target.optimize_b:
-        zeeman = params_template.zeeman_delta
-        i0, alpha = _solve_fixed_b(target, params_template, zeeman)
-        return i0, alpha, zeeman
-
-    lo, hi = target.b_bounds
-
-    def required_i0(z):
-        try:
-            i0, _ = _solve_fixed_b(target, params_template, z)
-            return i0
-        except InfeasibleDesign:
-            return math.inf
-
-    if hi <= lo:
-        zeeman = lo
-    else:
-        from scipy.optimize import minimize_scalar  # only this branch needs scipy
-
-        res = minimize_scalar(required_i0, bounds=(lo, hi), method="bounded")
-        zeeman = float(res.x)
-    if not math.isfinite(required_i0(zeeman)):
-        raise InfeasibleDesign(
-            "no feasible Zeeman splitting within b_bounds", constraint="b_bounds"
-        )
+    zeeman = params_template.zeeman_delta
+    if target.optimize_b:
+        zeeman = _least_light_zeeman(target, params_template)
     i0, alpha = _solve_fixed_b(target, params_template, zeeman)
+    # one forward evaluation guards the closed form against rounding
+    r = scattering_rates(replace(params_template, i0=i0, alpha=alpha, zeeman_delta=zeeman))
+    r1_req, r2_req = _required_rates(target, params_template)
+    if abs(r.r1 - r1_req) > 1e-4 * r1_req or abs(r.r2 - r2_req) > 1e-4 * r2_req:
+        raise InfeasibleDesign(
+            "forward rates at the closed-form knobs miss the target",
+            constraint="convergence",
+        )
     return i0, alpha, zeeman
 
 

@@ -200,8 +200,10 @@ def _propagate(
             P[-1] = e - P[_FIRST_POPULATION:-1].sum(axis=0)
         return P
 
+    y0 = np.asarray(y0, dtype=float)
     ys = np.empty((t_grid.size, len(y0)))
-    ys[0] = propagator(t_grid[0]) @ np.asarray(y0, dtype=float)
+    # expm(A * 0) is exactly the identity, so a grid from 0 skips it
+    ys[0] = y0 if t_grid[0] == 0 else propagator(t_grid[0]) @ y0
     step = propagator(h)
     for i in range(1, t_grid.size):
         ys[i] = step @ ys[i - 1]

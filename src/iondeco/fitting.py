@@ -49,6 +49,23 @@ def _spectral_peak(t: np.ndarray, y: np.ndarray) -> float:
     return 2 * math.pi * k / (len(y) * dt)
 
 
+def _residual(x, s, y, w):
+    """Weighted residual of the damped cosine x = (omega, lambda, p_inf,
+    amplitude, phase) in normalized time s; w = None means unit weights."""
+    om, lam, pi_, amp, phi = x
+    r = pi_ + amp * np.exp(-lam * s) * np.cos(om * s + phi) - y
+    return r if w is None else r * w
+
+
+def _jacobian(x, s, y, w):
+    """Analytic Jacobian of _residual, one column per parameter."""
+    om, lam, _, amp, phi = x
+    e = np.exp(-lam * s)
+    ec, es = e * np.cos(om * s + phi), e * np.sin(om * s + phi)
+    J = np.column_stack([-amp * s * es, -amp * s * ec, np.ones_like(s), ec, -amp * es])
+    return J if w is None else J * w[:, None]
+
+
 def fit_nutation(t, p1, sigma=None, max_iter: int = 200) -> NutationFit:
     """Weighted nonlinear least-squares fit of the damped-cosine model.
 
@@ -103,22 +120,19 @@ def fit_nutation(t, p1, sigma=None, max_iter: int = 200) -> NutationFit:
     amp0 = math.hypot(a, b)
     phi0 = math.atan2(-b, a)
 
-    def residual(x):
-        om, lam, pi_, amp, phi = x
-        r = pi_ + amp * np.exp(-lam * s) * np.cos(om * s + phi) - y
-        return r if w is None else r * w
-
     x0 = np.array([omega0, lam0, p_inf0, amp0, phi0])
     result = least_squares(
-        residual,
+        _residual,
         x0,
+        jac=_jacobian,
         bounds=([0, 0, -np.inf, -np.inf, -np.inf], np.inf),
         max_nfev=max_iter * len(x0),
+        args=(s, y, w),
     )
     if not result.success:
         # derivative-free fallback on the same objective
         result2 = minimize(
-            lambda x: float(np.sum(residual(x) ** 2)),
+            lambda x: float(np.sum(_residual(x, s, y, w) ** 2)),
             result.x,
             method="Nelder-Mead",
             options={"maxiter": 5000},
@@ -141,7 +155,7 @@ def fit_nutation(t, p1, sigma=None, max_iter: int = 200) -> NutationFit:
         amp = -amp
         phi += math.pi
     phi = math.atan2(math.sin(phi), math.cos(phi))
-    rms = float(np.sqrt(np.mean((pi_ + amp * np.exp(-lam * s) * np.cos(om * s + phi) - y) ** 2)))
+    rms = float(np.sqrt(np.mean(_residual((om, lam, pi_, amp, phi), s, y, None) ** 2)))
     return NutationFit(
         omega_fit=float(om / span),
         lambda_fit=float(lam / span),

@@ -108,15 +108,19 @@ class EffectiveRates:
     p1_inf: float | None
 
 
+def line_shape(gamma3: float, detuning: float) -> float:
+    """Lorentzian (gamma3/2)^2 / ((gamma3/2)^2 + detuning^2); 1 on resonance."""
+    half = gamma3 / 2.0
+    return half * half / (half * half + detuning * detuning)
+
+
 def lorentzian(params: PhysicalParams, m: int) -> float:
     """Excitation Lorentzian L(B, m) of the Zeeman component m in {-1, 0, +1}.
 
     With delta_laser = light frequency - resonance frequency, the detuning
     entering the line shape is (-delta_laser + m * zeeman_delta).
     """
-    half = params.gamma3 / 2.0
-    det = -params.delta_laser + m * params.zeeman_delta
-    return half * half / (half * half + det * det)
+    return line_shape(params.gamma3, -params.delta_laser + m * params.zeeman_delta)
 
 
 def light_flux(params: PhysicalParams, m: int) -> float:

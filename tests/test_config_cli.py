@@ -266,6 +266,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err
 
+    def test_infinite_design_caps_accepted(self, capsys):
+        # --i0-max inf means no cap; an infinite field window is harmless
+        # while the field is held fixed
+        assert main(["design", "--target-gamma-2pikhz", "0.1",
+                     "--target-big-gamma-2pikhz", "500", "--i0-max", "inf",
+                     "--b-max-2pikhz", "inf"]) == 0
+        assert json.loads(capsys.readouterr().out)["verification"]["within_tol"]
+
     def test_regime_violation_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "strong.yaml"
         cfg.write_text(
@@ -288,9 +296,15 @@ class TestExitCodes:
           "--target-big-gamma-2pikhz", "500"], ""),
         (["sweep", "--axis", "physical.i0=abc"], ""),
         (["trajectories", "--seed", "-1"], ""),
+        (["design", "--target-gamma-2pikhz", "0.1", "--target-big-gamma-2pikhz", "500",
+          "--optimize-b", "--b-max-2pikhz", "nan"], ""),
+        (["design", "--target-gamma-2pikhz", "0.1", "--target-big-gamma-2pikhz", "500",
+          "--optimize-b", "--b-max-2pikhz", "inf"], ""),
+        (["design", "--target-gamma-2pikhz", "0.1", "--target-big-gamma-2pikhz", "500",
+          "--i0-max", "nan"], ""),
     ], ids=["i0-nan", "omega-inf", "dt-nan", "r1-negative", "r1-nan", "n0-nan",
             "i0-null", "probe-nan", "bright-negative", "target-nan", "axis-text",
-            "seed-negative"])
+            "seed-negative", "b-max-nan", "b-max-inf", "i0-max-nan"])
     def test_invalid_number_exit_2(self, tmp_path, capsys, argv, doc):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(doc)

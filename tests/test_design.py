@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iondeco.errors import InfeasibleDesign
 from iondeco.design import DesignTarget, design_decoherence, verify_design
@@ -136,11 +138,81 @@ class TestInfeasible:
             design_decoherence(target, TEMPLATE)
         assert exc.value.constraint == "alpha_bounds"
 
+    def test_zero_microwave_drive_named(self):
+        # Gamma = Omega^2 / r2 cannot reach a finite target without a drive
+        target = DesignTarget(gamma_target=100.0, Gamma_target=1e3)
+        with pytest.raises(InfeasibleDesign) as exc:
+            design_decoherence(target, replace(TEMPLATE, omega_mw=0.0))
+        assert exc.value.constraint == "omega_mw"
+
+    def test_vanishing_line_shapes_name_i0(self):
+        # a splitting so large that L(+-1) underflows to 0 needs infinite
+        # light, even with no cap on i0
+        target = DesignTarget(gamma_target=100.0, Gamma_target=1e6,
+                              i0_bounds=(0.0, math.inf))
+        with pytest.raises(InfeasibleDesign) as exc:
+            design_decoherence(target, replace(TEMPLATE, zeeman_delta=1e170))
+        assert exc.value.constraint == "i0_bounds"
+
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
             DesignTarget(gamma_target=-1.0, Gamma_target=1.0)
         with pytest.raises(ValueError):
             DesignTarget(gamma_target=1.0, Gamma_target=1.0, i0_bounds=(1.0, 0.0))
+
+    @pytest.mark.parametrize("bounds", [
+        {"i0_bounds": (0.0, math.nan)},
+        {"alpha_bounds": (math.nan, 1.0)},
+        {"b_bounds": (0.0, math.nan)},
+        {"b_bounds": (0.0, math.inf), "optimize_b": True},
+        {"b_bounds": (-math.inf, 0.0), "optimize_b": True},
+    ], ids=["i0-nan", "alpha-nan", "b-nan", "b-inf-optimized", "b-minus-inf-optimized"])
+    def test_nan_or_unbounded_search_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            DesignTarget(gamma_target=1.0, Gamma_target=1.0, **bounds)
+
+
+def _knob_round_trip(i0, alpha, delta_laser, zeeman):
+    """Design back the knobs whose forward rates define the target."""
+    template = replace(TEMPLATE, delta_laser=delta_laser, zeeman_delta=zeeman)
+    p = replace(template, i0=i0, alpha=alpha)
+    eff = effective_rates(p, scattering_rates(p))
+    target = DesignTarget(gamma_target=eff.gamma_eff, Gamma_target=eff.Gamma_eff,
+                          i0_bounds=(0.0, math.inf))
+    return design_decoherence(target, template)
+
+
+G3 = TEMPLATE.gamma3
+
+
+class TestClosedForm:
+    # T = 2 r2 / gamma3 decides which form of the quadratic's root is used:
+    # T < 1 and T > 1 (both sigma lines well past saturation) are both drawn
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_i0=st.floats(-6.0, 2.0),
+        alpha=st.floats(0.01, math.pi / 2 - 0.01),
+        delta_laser=st.floats(0.05, 2.0).flatmap(
+            lambda d: st.sampled_from([-d * G3, d * G3])),
+        zeeman=st.floats(0.0, 2.0).map(lambda z: z * G3),
+    )
+    @example(log_i0=-4.0, alpha=0.8, delta_laser=-0.3 * G3, zeeman=0.25 * G3)  # T << 1
+    @example(log_i0=2.0, alpha=1.5, delta_laser=0.2 * G3, zeeman=0.1 * G3)  # T ~ 1.97
+    def test_knobs_rates_knobs_round_trip(self, log_i0, alpha, delta_laser, zeeman):
+        i0 = 10.0**log_i0
+        i0_got, alpha_got, zeeman_got = _knob_round_trip(i0, alpha, delta_laser, zeeman)
+        assert zeeman_got == zeeman
+        assert i0_got == pytest.approx(i0, rel=1e-12)
+        assert alpha_got == pytest.approx(alpha, rel=1e-12)
+
+    def test_examples_reach_both_branches(self):
+        # the two explicit examples above sit on either side of T = 1
+        Ts = []
+        for log_i0, alpha, dl, z in ((-4.0, 0.8, -0.3 * G3, 0.25 * G3),
+                                     (2.0, 1.5, 0.2 * G3, 0.1 * G3)):
+            p = replace(TEMPLATE, i0=10.0**log_i0, alpha=alpha, delta_laser=dl, zeeman_delta=z)
+            Ts.append(2 * scattering_rates(p).r2 / G3)
+        assert Ts[0] < 1 < Ts[1]
 
 
 class TestOptimizeB:
@@ -169,6 +241,30 @@ class TestOptimizeB:
             alpha_bounds=(0.0, 0.3), optimize_b=True,
             b_bounds=(4e3 * TWO_PI_KHZ, 6e3 * TWO_PI_KHZ),
         )
+        with pytest.raises(InfeasibleDesign) as exc:
+            design_decoherence(target, TEMPLATE)
+        assert exc.value.constraint == "b_bounds"
+
+    def test_detuned_optimum_beats_dense_field_scan(self):
+        # red-detuned light: the sigma- line comes into resonance inside the
+        # window, so the least-light field is interior, not at an end
+        template = replace(TEMPLATE, delta_laser=-10e3 * TWO_PI_KHZ)
+        p = replace(template, i0=3e-4, alpha=0.9)
+        eff = effective_rates(p, scattering_rates(p))
+        hi = 20e3 * TWO_PI_KHZ
+        target = DesignTarget(gamma_target=eff.gamma_eff, Gamma_target=eff.Gamma_eff,
+                              optimize_b=True, b_bounds=(0.0, hi))
+        i0_opt, _, zeeman = design_decoherence(target, template)
+        fixed = replace_target(target, optimize_b=False)
+        scan = [design_decoherence(fixed, replace(template, zeeman_delta=z))[0]
+                for z in np.linspace(0.0, hi, 2001)]
+        assert i0_opt <= min(scan) * (1 + 1e-6)
+        assert 0.0 < zeeman < hi
+
+    def test_saturated_r1_names_b_bounds(self):
+        # under optimize_b every infeasibility reads as "no field works"
+        target = DesignTarget(gamma_target=TEMPLATE.gamma3, Gamma_target=1e6,
+                              optimize_b=True, b_bounds=(0.0, 20e3 * TWO_PI_KHZ))
         with pytest.raises(InfeasibleDesign) as exc:
             design_decoherence(target, TEMPLATE)
         assert exc.value.constraint == "b_bounds"

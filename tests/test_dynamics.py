@@ -12,6 +12,7 @@ from iondeco.errors import RegimeViolation
 from iondeco.dynamics import (
     SystemState,
     _expm,
+    _propagate,
     derivative,
     generator,
     integrate,
@@ -340,3 +341,21 @@ def test_propagator_matches_mpmath_reference(
         ref = _mp_propagate(A, initial.as_vector()[:size], t)
         assert np.max(np.abs(run(initial, p, r, t).y[:, :size] - ref)) < 1e-12
         assert np.max(np.abs(_expm(A * t[1]) - scipy_expm(A * t[1]))) < 1e-11
+
+
+def test_grid_from_zero_starts_at_y0_exactly():
+    """A grid from t = 0 takes y0 as its first row without an expm: the
+    Pade expm of the zero matrix is exactly I and the rebuilt conserving
+    row exactly a unit row, so the shortcut changes no bit."""
+    p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3, i0=3e-4, alpha=1.0,
+                       zeeman_delta=300 * TWO_PI_KHZ)
+    r = scattering_rates(p)
+    y0 = np.array([0.1, -0.2, 0.5, 0.3, 0.15, 0.05])
+    t = np.arange(5) * 20e-6
+    for model, size in (("full", 6), ("adiabatic", 5)):
+        A = generator(p, r, model)
+        assert np.array_equal(_expm(A * 0.0), np.eye(size))
+        ys = _propagate(A, y0[:size], t)
+        assert np.array_equal(ys[0], y0[:size])
+        shifted = _propagate(A, y0[:size], t + t[1])  # first row through expm(A h)
+        assert np.array_equal(shifted[0], ys[1])

@@ -9,6 +9,8 @@ from iondeco.errors import DegenerateRates, OscillationUnresolved, OutOfRange
 from iondeco.dynamics import SystemState, integrate_adiabatic
 from iondeco.fitting import (
     NutationFit,
+    _jacobian,
+    _residual,
     effective_from_fit,
     fit_nutation,
     invert_saturation,
@@ -113,6 +115,23 @@ class TestFitNutation:
         gamma_c = r.r1
         bound = gamma_c**2 / (2 * p.omega_mw) + 1e-4 * p.omega_mw
         assert abs(fit.omega_fit - p.omega_mw) < bound
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_analytic_jacobian_matches_central_difference(weighted):
+    rng = np.random.default_rng(11)
+    s = np.linspace(0.0, 1.0, 120)
+    y = damped_cosine(s, 40.0, 3.0, 0.7, -0.35, 0.4) + rng.normal(0, 0.01, s.shape)
+    w = rng.uniform(0.5, 5.0, s.shape) if weighted else None
+    for x in ([40.0, 3.0, 0.7, -0.35, 0.4], [25.0, 0.0, 0.55, 0.2, -2.9]):
+        x = np.array(x)
+        J = _jacobian(x, s, y, w)
+        for j in range(len(x)):
+            h = 1e-6 * max(abs(x[j]), 1.0)
+            dx = np.zeros_like(x)
+            dx[j] = h
+            fd = (_residual(x + dx, s, y, w) - _residual(x - dx, s, y, w)) / (2 * h)
+            assert np.linalg.norm(J[:, j] - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 class TestInvertSaturation:
