@@ -183,11 +183,12 @@ def _knob_round_trip(i0, alpha, delta_laser, zeeman):
 
 
 G3 = TEMPLATE.gamma3
+# T = 2 r2 / gamma3 decides which form of the quadratic's root is used
+T_BELOW_1 = dict(log_i0=-4.0, alpha=0.8, delta_laser=-0.3 * G3, zeeman=0.25 * G3)
+T_ABOVE_1 = dict(log_i0=2.0, alpha=1.5, delta_laser=0.2 * G3, zeeman=0.1 * G3)  # T ~ 1.97
 
 
 class TestClosedForm:
-    # T = 2 r2 / gamma3 decides which form of the quadratic's root is used:
-    # T < 1 and T > 1 (both sigma lines well past saturation) are both drawn
     @settings(max_examples=200, deadline=None)
     @given(
         log_i0=st.floats(-6.0, 2.0),
@@ -196,8 +197,8 @@ class TestClosedForm:
             lambda d: st.sampled_from([-d * G3, d * G3])),
         zeeman=st.floats(0.0, 2.0).map(lambda z: z * G3),
     )
-    @example(log_i0=-4.0, alpha=0.8, delta_laser=-0.3 * G3, zeeman=0.25 * G3)  # T << 1
-    @example(log_i0=2.0, alpha=1.5, delta_laser=0.2 * G3, zeeman=0.1 * G3)  # T ~ 1.97
+    @example(**T_BELOW_1)
+    @example(**T_ABOVE_1)
     def test_knobs_rates_knobs_round_trip(self, log_i0, alpha, delta_laser, zeeman):
         i0 = 10.0**log_i0
         i0_got, alpha_got, zeeman_got = _knob_round_trip(i0, alpha, delta_laser, zeeman)
@@ -206,11 +207,10 @@ class TestClosedForm:
         assert alpha_got == pytest.approx(alpha, rel=1e-12)
 
     def test_examples_reach_both_branches(self):
-        # the two explicit examples above sit on either side of T = 1
         Ts = []
-        for log_i0, alpha, dl, z in ((-4.0, 0.8, -0.3 * G3, 0.25 * G3),
-                                     (2.0, 1.5, 0.2 * G3, 0.1 * G3)):
-            p = replace(TEMPLATE, i0=10.0**log_i0, alpha=alpha, delta_laser=dl, zeeman_delta=z)
+        for k in (T_BELOW_1, T_ABOVE_1):
+            p = replace(TEMPLATE, i0=10.0 ** k["log_i0"], alpha=k["alpha"],
+                        delta_laser=k["delta_laser"], zeeman_delta=k["zeeman"])
             Ts.append(2 * scattering_rates(p).r2 / G3)
         assert Ts[0] < 1 < Ts[1]
 
