@@ -155,7 +155,7 @@ class RunConfig:
         return cls(raw or {})
 
     def serialize(self) -> str:
-        return yaml.safe_dump(self.data, sort_keys=True)
+        return yaml.dump(self.data, Dumper=yaml.CSafeDumper, sort_keys=True)
 
     def hash(self) -> str:
         canon = json.dumps(self.data, sort_keys=True)

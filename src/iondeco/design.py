@@ -13,7 +13,7 @@ Zeeman splitting the knobs follow in closed form, with no iteration:
   root is s;
 - i0 = c + s and alpha = atan(sqrt(s / c)).
 
-With optimize_b a bounded scalar search picks the splitting that needs
+With optimize_b a golden-section search picks the splitting that needs
 the least light.
 """
 
@@ -110,6 +110,9 @@ def _solve_fixed_b(
     return i0, alpha
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def _least_light_zeeman(target: DesignTarget, template: PhysicalParams) -> float:
     """Zeeman splitting inside b_bounds that needs the least i0; raises
     InfeasibleDesign (b_bounds) when no splitting there is feasible."""
@@ -117,15 +120,26 @@ def _least_light_zeeman(target: DesignTarget, template: PhysicalParams) -> float
 
     def required_i0(z):
         try:
-            return _solve_fixed_b(target, template, float(z))[0]
+            return _solve_fixed_b(target, template, z)[0]
         except InfeasibleDesign:
             return math.inf
 
-    zeeman = lo
-    if hi > lo:
-        from scipy.optimize import minimize_scalar  # only this branch needs scipy
-
-        zeeman = float(minimize_scalar(required_i0, bounds=(lo, hi), method="bounded").x)
+    # golden-section search, assuming one minimum inside b_bounds; each step
+    # shrinks the bracket by 1/phi, down to a width of 1e-5 rad/s
+    steps = math.ceil(math.log(1e-5 / (hi - lo)) / math.log(_INV_PHI)) if hi - lo > 1e-5 else 0
+    a, b = lo, hi
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = required_i0(c), required_i0(d)
+    for _ in range(steps):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = required_i0(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = required_i0(d)
+    zeeman = 0.5 * (a + b)
     if required_i0(zeeman) == math.inf:
         raise InfeasibleDesign(
             "no feasible Zeeman splitting within b_bounds", constraint="b_bounds"

@@ -66,21 +66,105 @@ def _jacobian(x, s, y, w):
     return J if w is None else J * w[:, None]
 
 
+def _envelope(x: np.ndarray) -> np.ndarray:
+    """Modulus of the analytic signal of x: FFT, weights 1 (zero and, for
+    even lengths, Nyquist frequency), 2 (positive) and 0 (negative), IFFT."""
+    n = len(x)
+    h = np.zeros(n)
+    h[0] = 1.0
+    h[1:(n + 1) // 2] = 2.0
+    if n % 2 == 0:
+        h[n // 2] = 1.0
+    return np.abs(np.fft.ifft(np.fft.fft(x) * h))
+
+
+_LOWER_BOUNDED = np.array([True, True, False, False, False])  # omega, lambda >= 0
+
+
+def _levenberg_marquardt(x0, s, y, w, max_iter, tol=1e-8):
+    """Minimize sum(_residual**2) from x0 subject to omega, lambda >= 0.
+
+    Each step solves the Marquardt-scaled normal equations
+    (J'J + mu D) d = -J'r (Moré 1978) and is projected onto the bounds; a
+    bounded parameter at 0 whose gradient points outward is held there.  mu
+    follows Nielsen's gain-ratio update.  D is diag(J'J) floored at 1e-10
+    of its largest entry: at 2 samples per period the omega and phase
+    columns vanish, and unfloored damping would not hold them back.  A step
+    longer than |x| is refused like a failed one: the spectral initializer
+    starts near the optimum, and such a step jumps to another basin.
+
+    Stops, as converged, when an accepted step lowers the cost by less than
+    tol relative with a gain ratio above 1/4, when a step is shorter than
+    tol * (tol + |x|), or when every free gradient component is below tol
+    times its column norm times |r|.  Returns (x, residual evaluations,
+    converged); converged is False after max_iter steps.
+    """
+    x = np.array(x0, dtype=float)
+    r = _residual(x, s, y, w)
+    cost, nfev, mu, nu = r @ r, 1, 1e-3, 2.0
+    J = _jacobian(x, s, y, w)
+    A, g = J.T @ J, J.T @ r
+    for _ in range(max_iter):
+        d = np.diag(A)
+        free = ~(_LOWER_BOUNDED & (x <= 0) & (g > 0))
+        if np.all(np.abs(g[free]) <= tol * np.sqrt(d[free] * cost)):
+            return x, nfev, True
+        M = A + mu * np.diag(np.maximum(d, 1e-10 * d.max()))
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(M[np.ix_(free, free)], -g[free])
+        x_new = np.where(_LOWER_BOUNDED, np.maximum(x + step, 0.0), x + step)
+        step = x_new - x
+        predicted = -(2 * g @ step + step @ A @ step)
+        step_norm, x_norm = np.linalg.norm(step), np.linalg.norm(x)
+        rho = -1.0
+        if predicted > 0 and step_norm <= x_norm:
+            r_new = _residual(x_new, s, y, w)
+            cost_new, nfev = r_new @ r_new, nfev + 1
+            rho = (cost - cost_new) / predicted
+        small_step = step_norm < tol * (tol + x_norm)
+        if rho > 0:
+            small_drop = cost - cost_new < tol * cost and rho > 0.25
+            x, r, cost = x_new, r_new, cost_new
+            if small_drop or small_step:
+                return x, nfev, True
+            J = _jacobian(x, s, y, w)
+            A, g = J.T @ J, J.T @ r
+            mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+        elif small_step:
+            return x, nfev, True
+        else:
+            mu, nu = mu * nu, 2 * nu
+    return x, nfev, False
+
+
 def fit_nutation(t, p1, sigma=None, max_iter: int = 200) -> NutationFit:
     """Weighted nonlinear least-squares fit of the damped-cosine model.
 
     t, p1: sampled curve (t need not start at zero but must be close to
     uniformly spaced for the spectral initializer).  sigma: pointwise
-     1-sigma uncertainties; omitted means unit weights.
+     1-sigma uncertainties; omitted means unit weights.  max_iter bounds the
+    Levenberg-Marquardt steps; a fit that reaches it is returned with
+    converged=False, and iterations counts residual evaluations.
 
-    Raises OscillationUnresolved when fewer than 8 samples are given, the
-    span covers less than one oscillation period, or the curve is
-    overdamped (initial lambda estimate above the frequency estimate).
+    Raises ValueError when t or p1 is not finite, or sigma is not finite,
+    strictly positive and shaped like t.  Raises OscillationUnresolved
+    when fewer than 8 samples are given, the span covers less than one
+    oscillation period, or the curve is overdamped (initial lambda
+    estimate above the frequency estimate).
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(p1, dtype=float)
     if t.ndim != 1 or t.shape != y.shape:
         raise ValueError("t and p1 must be 1-d arrays of equal length")
+    for name, v in (("t", t), ("p1", y)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
+    w = None
+    if sigma is not None:
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.shape != t.shape or not (np.isfinite(sigma) & (sigma > 0)).all():
+            raise ValueError("sigma must be finite, strictly positive and shaped like t")
+        w = 1.0 / sigma
     if len(t) < 8:
         raise OscillationUnresolved("need at least 8 samples")
     span = t[-1] - t[0]
@@ -89,7 +173,6 @@ def fit_nutation(t, p1, sigma=None, max_iter: int = 200) -> NutationFit:
 
     # work in normalized time so the estimate is scale-equivariant
     s = t / span
-    w = None if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
 
     # -- initialization
     tail = y[-max(len(y) // 5, 4):]
@@ -97,13 +180,8 @@ def fit_nutation(t, p1, sigma=None, max_iter: int = 200) -> NutationFit:
     detr = y - p_inf0
     omega0 = _spectral_peak(s, detr)
 
-    # scipy is imported here, not at module level, so that commands that do
-    # not fit start without loading it
-    from scipy.optimize import least_squares, minimize
-    from scipy.signal import hilbert
-
     # envelope decay from log-linear regression on the analytic-signal modulus
-    env = np.abs(hilbert(detr))
+    env = _envelope(detr)
     core = slice(len(env) // 10, max(len(env) // 10 + 2, 9 * len(env) // 10))
     pos = env[core] > 1e-12 * max(env.max(), 1e-300)
     if pos.sum() >= 2:
@@ -120,30 +198,8 @@ def fit_nutation(t, p1, sigma=None, max_iter: int = 200) -> NutationFit:
     amp0 = math.hypot(a, b)
     phi0 = math.atan2(-b, a)
 
-    x0 = np.array([omega0, lam0, p_inf0, amp0, phi0])
-    result = least_squares(
-        _residual,
-        x0,
-        jac=_jacobian,
-        bounds=([0, 0, -np.inf, -np.inf, -np.inf], np.inf),
-        max_nfev=max_iter * len(x0),
-        args=(s, y, w),
-    )
-    if not result.success:
-        # derivative-free fallback on the same objective
-        result2 = minimize(
-            lambda x: float(np.sum(_residual(x, s, y, w) ** 2)),
-            result.x,
-            method="Nelder-Mead",
-            options={"maxiter": 5000},
-        )
-        x = result2.x
-        converged = bool(result2.success)
-        iterations = int(result.nfev + result2.get("nit", 0))
-    else:
-        x = result.x
-        converged = True
-        iterations = int(result.nfev)
+    x, iterations, converged = _levenberg_marquardt(
+        [omega0, lam0, p_inf0, amp0, phi0], s, y, w, max_iter)
 
     om, lam, pi_, amp, phi = x
     # defined failure modes: never report a frequency the data cannot support

@@ -29,7 +29,9 @@ class TestRunConfig:
 
     def test_serialize_round_trip(self):
         cfg = RunConfig({"physical": {"i0": 3e-4, "alpha_deg": 60.0}})
-        again = RunConfig.parse(cfg.serialize())
+        text = cfg.serialize()
+        assert text == yaml.safe_dump(cfg.data, sort_keys=True)  # libyaml emits the same bytes
+        again = RunConfig.parse(text)
         assert again.data == cfg.data
         assert again.hash() == cfg.hash()
 
@@ -387,7 +389,12 @@ def _run_fresh(argvs):
 
 
 class TestColdStart:
-    def test_commands_without_a_fit_load_no_scipy(self, tmp_path):
+    def test_every_command_loads_no_scipy(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("rates:\n  r1_2pikhz: 0.2\n  r2_2pikhz: 0.4\n"
+                       "integrator:\n  model: adiabatic\n"
+                       "protocol:\n  n_max: 300\n  dt_us: 100.0\n")
+        curve = str(tmp_path / "fit_input.csv")
         result = _run_fresh([
             ["rates", "--i0", "1e-3", "--alpha-deg", "60"],
             ["simulate", "--i0", "3e-4", "--alpha-deg", "60", "--nmax", "20",
@@ -398,19 +405,13 @@ class TestColdStart:
              "--out", str(tmp_path / "traj")],
             ["design", "--omega-2pikhz", "10", "--b-field-2pikhz", "5000",
              "--target-gamma-2pikhz", "0.1", "--target-big-gamma-2pikhz", "500"],
+            ["design", "--omega-2pikhz", "10", "--optimize-b", "--b-max-2pikhz", "5000",
+             "--target-gamma-2pikhz", "0.1", "--target-big-gamma-2pikhz", "500"],
+            ["simulate", "--config", str(cfg), "--out", curve],
+            ["fit", curve],
+            ["fit", curve, "--omega-2pikhz", "4.2"],
         ])
-        assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
-
-    def test_fit_still_loads_scipy(self, tmp_path):
-        cfg = tmp_path / "run.yaml"
-        cfg.write_text("rates:\n  r1_2pikhz: 0.2\n  r2_2pikhz: 0.4\n"
-                       "integrator:\n  model: adiabatic\n"
-                       "protocol:\n  n_max: 300\n  dt_us: 100.0\n")
-        curve = str(tmp_path / "curve.csv")
-        result = _run_fresh([["simulate", "--config", str(cfg), "--out", curve],
-                             ["fit", curve, "--omega-2pikhz", "4.2"]])
-        assert result["codes"] == [0, 0]
-        assert "scipy.optimize" in result["scipy"]
+        assert result == {"codes": [0] * 9, "scipy": []}
 
 
 class TestCurveTables:

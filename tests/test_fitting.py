@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
+from scipy.signal import hilbert
 
 from iondeco.errors import DegenerateRates, OscillationUnresolved, OutOfRange
 from iondeco.dynamics import SystemState, integrate_adiabatic
 from iondeco.fitting import (
     NutationFit,
+    _envelope,
     _jacobian,
     _residual,
     effective_from_fit,
@@ -20,6 +23,19 @@ from iondeco.model import TWO_PI_KHZ, PhysicalParams, scattering_rates
 
 def damped_cosine(t, omega, lam, p_inf, amp, phi):
     return p_inf + amp * np.exp(-lam * t) * np.cos(omega * t + phi)
+
+
+def _weighted_case():
+    """A curve with every third point corrupted and masked by a large sigma:
+    (t, y, sigma, true parameters)."""
+    omega, lam = 5 * TWO_PI_KHZ, 0.2 * TWO_PI_KHZ
+    t = np.linspace(0, 4 / lam, 300)
+    y = damped_cosine(t, omega, lam, 0.7, -0.35, 0.0)
+    rng = np.random.default_rng(1)
+    y[::3] += rng.normal(0, 0.2, size=len(y[::3]))
+    sigma = np.full_like(t, 1e-4)
+    sigma[::3] = 10.0
+    return t, y, sigma, (omega, lam, 0.7, -0.35, 0.0)
 
 
 class TestFitNutation:
@@ -91,14 +107,7 @@ class TestFitNutation:
         assert fit2.p_inf_fit == pytest.approx(fit1.p_inf_fit, rel=1e-12)
 
     def test_weighting_prefers_low_noise_points(self):
-        omega, lam = 5 * TWO_PI_KHZ, 0.2 * TWO_PI_KHZ
-        t = np.linspace(0, 4 / lam, 300)
-        y = damped_cosine(t, omega, lam, 0.7, -0.35, 0.0)
-        rng = np.random.default_rng(1)
-        noisy = y.copy()
-        noisy[::3] += rng.normal(0, 0.2, size=len(noisy[::3]))
-        sigma = np.full_like(t, 1e-4)
-        sigma[::3] = 10.0  # effectively masks corrupted points
+        t, noisy, sigma, (omega, lam, *_) = _weighted_case()
         fit = fit_nutation(t, noisy, sigma=sigma)
         assert fit.omega_fit == pytest.approx(omega, rel=1e-3)
         assert fit.lambda_fit == pytest.approx(lam, rel=1e-2)
@@ -132,6 +141,94 @@ def test_analytic_jacobian_matches_central_difference(weighted):
             dx[j] = h
             fd = (_residual(x + dx, s, y, w) - _residual(x - dx, s, y, w)) / (2 * h)
             assert np.linalg.norm(J[:, j] - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def _reference_cases():
+    """100 noisy draws (sigma = 0.01) and the weighted case, each with the
+    true parameters."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(100):
+        omega = rng.uniform(0.5, 50) * TWO_PI_KHZ
+        lam = omega * rng.uniform(0.005, 0.25)
+        truth = (omega, lam, rng.uniform(0.55, 0.95),
+                 rng.uniform(0.2, 0.5) * rng.choice([-1, 1]), rng.uniform(-math.pi, math.pi))
+        t = np.linspace(0, min(6 / lam, 120 * 2 * math.pi / omega), 300)
+        yield t, damped_cosine(t, *truth) + rng.normal(0, 0.01, t.shape), None, truth
+    yield _weighted_case()
+
+
+def test_fit_matches_tightly_converged_reference():
+    for t, y, sigma, (omega, lam, p_inf, amp, phi) in _reference_cases():
+        fit = fit_nutation(t, y, sigma=sigma)
+        span = t[-1] - t[0]
+        s = t / span
+        w = None if sigma is None else 1 / sigma
+        ref = least_squares(_residual, [omega * span, lam * span, p_inf, amp, phi],
+                            jac=_jacobian, bounds=([0, 0, -np.inf, -np.inf, -np.inf], np.inf),
+                            ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=10000,
+                            args=(s, y, w)).x
+        ref_rms = np.sqrt(np.mean(_residual(ref, s, y, None) ** 2))
+        assert fit.converged
+        assert fit.omega_fit == pytest.approx(ref[0] / span, rel=1e-5)
+        assert fit.lambda_fit == pytest.approx(ref[1] / span, rel=1e-3)
+        assert fit.p_inf_fit == pytest.approx(ref[2], rel=1e-5)
+        assert fit.residual_rms <= ref_rms * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("growth", [0.002, 0.03])
+def test_growing_envelope_converges_at_lambda_bound(growth):
+    omega = 2 * math.pi * 1e3
+    t = np.linspace(0, 10 * 2 * math.pi / omega, 200)
+    fit = fit_nutation(t, damped_cosine(t, omega, -growth * omega, 0.6, 0.3, 0.2))
+    assert fit.converged
+    assert fit.lambda_fit == 0.0
+    assert fit.iterations < 20
+
+
+@pytest.mark.parametrize("samples_per_period", [2.0, 2.05])
+def test_fit_at_two_samples_per_period(samples_per_period):
+    # the spectral start sits at the Nyquist frequency, where the omega and
+    # phase columns of the Jacobian vanish
+    omega = 2 * math.pi * 1e3
+    t = np.linspace(0, 47 / samples_per_period * 2 * math.pi / omega, 48)
+    fit = fit_nutation(t, damped_cosine(t, omega, 0.05 * omega, 0.7, 0.3, 0.3))
+    assert fit.converged
+    assert fit.residual_rms < 1e-9
+
+
+@pytest.mark.parametrize("n", [300, 301], ids=["even", "odd"])
+def test_envelope_is_analytic_signal_modulus(n):
+    x = np.random.default_rng(n).normal(size=n)
+    assert np.allclose(_envelope(x), np.abs(hilbert(x)), rtol=0, atol=1e-12)
+
+
+def test_iteration_cap_reports_no_convergence():
+    rng = np.random.default_rng(3)
+    t = np.linspace(0, 1e-3, 300)
+    y = damped_cosine(t, 4e4, 3e3, 0.7, -0.35, 0.4) + rng.normal(0, 0.01, t.shape)
+    assert fit_nutation(t, y).converged
+    fit = fit_nutation(t, y, max_iter=1)
+    assert not fit.converged
+    assert fit.iterations == 2
+
+
+_GOOD = np.linspace(0, 1e-3, 50), 0.5 + 0.3 * np.cos(4e4 * np.linspace(0, 1e-3, 50))
+
+
+@pytest.mark.parametrize("arg, t, p1, sigma", [
+    ("t", np.where(np.arange(50) == 7, np.inf, _GOOD[0]), _GOOD[1], None),
+    ("p1", _GOOD[0], np.where(np.arange(50) == 7, np.nan, _GOOD[1]), None),
+    ("sigma", *_GOOD, np.full(50, np.nan)),
+    ("sigma", *_GOOD, np.full(50, np.inf)),
+    ("sigma", *_GOOD, np.zeros(50)),
+    ("sigma", *_GOOD, np.full(50, -0.01)),
+    ("sigma", *_GOOD, np.full(49, 0.01)),
+], ids=["t-inf", "p1-nan", "sigma-nan", "sigma-inf", "sigma-zero", "sigma-negative",
+        "sigma-short"])
+def test_invalid_input_named(arg, t, p1, sigma, capfd):
+    with pytest.raises(ValueError, match=f"^{arg} "):
+        fit_nutation(t, p1, sigma=sigma)
+    assert capfd.readouterr().err == ""
 
 
 class TestInvertSaturation:
