@@ -16,7 +16,7 @@ from iondeco import (
     PhysicalParams,
     ScatteringRates,
     SystemState,
-    integrate_adiabatic,
+    integrate,
 )
 
 GAMMA3 = 18e3 * TWO_PI_KHZ
@@ -33,7 +33,7 @@ def rates_from_sqrt(sqrt_2r1gl: float, sqrt_r2gl: float) -> ScatteringRates:
 def family(params, rate_pairs, t):
     columns = []
     for s1, s2 in rate_pairs:
-        ts = integrate_adiabatic(SystemState(), params, rates_from_sqrt(s1, s2), t)
+        ts = integrate(SystemState(), params, rates_from_sqrt(s1, s2), t, "adiabatic")
         columns.append(ts.p1)
     return np.column_stack(columns)
 

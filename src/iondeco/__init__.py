@@ -17,11 +17,8 @@ from .model import (
 from .dynamics import (
     SystemState,
     TimeSeries,
-    derivative,
     generator,
     integrate,
-    integrate_adiabatic,
-    integrate_effective_two_level,
 )
 from .protocol import (
     AccumulatedCurve,

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .design import DesignTarget, design_decoherence, verify_design
-from .dynamics import integrate, integrate_adiabatic
+from .dynamics import integrate
 from .errors import (
     ConfigError,
     DegenerateRates,
@@ -132,8 +132,7 @@ def _simulate_series(cfg: RunConfig):
     rates = cfg.rates(params)
     proto = cfg.protocol_config()
     t_grid = np.arange(proto.n_max + 1) * proto.dt_unit
-    run = integrate_adiabatic if cfg.model_variant() == "adiabatic" else integrate
-    series = run(cfg.initial_state(), params, rates, t_grid)
+    series = integrate(cfg.initial_state(), params, rates, t_grid, cfg.model_variant())
     return params, series
 
 
@@ -216,7 +215,10 @@ def cmd_fit(args) -> int:
     if omega_in is not None and not 0 < omega_in < math.inf:
         raise ConfigError(f"--omega-2pikhz must be positive and finite, got {omega_in!r}")
     tau, p1, sigma = read_curve_file(args.curve)
-    fit = fit_nutation(tau, p1, sigma=sigma)
+    try:
+        fit = fit_nutation(tau, p1, sigma=sigma)
+    except ValueError as exc:
+        raise ConfigError(f"{args.curve}: {exc}") from exc
     doc = {
         "provenance": {"tool": f"iondeco {__version__}", "input": args.curve},
         "units": "2pi_kHz",

@@ -7,11 +7,16 @@ Three model variants:
   rate equations,
 * an adiabatic variant with the optical level eliminated (valid far
   below saturation; removes the stiffness gamma3 >> Omega),
-* the effective two-level model with rates (gamma, Gamma), the
-  longitudinal fixed point sitting at the *excited* state 1.
+* the effective two-level model of the 0-1 qubit alone, with transverse
+  rate gamma = r1 + gamma_ph_extra and longitudinal rate Gamma = Omega^2/r2
+  (model.effective_rates), the longitudinal fixed point sitting at the
+  *excited* state 1.
 
 State vector order is [u, v, n0, n1, n2, n3] with u = 2 Re rho01,
-v = 2 Im rho01 in the microwave rotating frame.
+v = 2 Im rho01 in the microwave rotating frame.  The adiabatic model
+evolves its first five entries and the two-level model its first four;
+`integrate` returns all six, with the quasi-static n3 rebuilt for the
+adiabatic model and n2 = n3 = 0 for the two-level model.
 
 Every variant is linear and time-invariant, dy/dt = A y, with A fixed by
 (params, rates).  Evolution on a uniform grid of step h is therefore exact:
@@ -19,9 +24,9 @@ one propagator P = expm(A h) and one mat-vec per grid point (Moler & Van
 Loan, SIAM Rev. 45 (2003)).  expm is numpy-only Pade-13 with scaling and
 squaring (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)), so evolution
 needs no scipy.  No eigendecomposition is used: A is defective at zero
-light and at Omega = 0.  The full and adiabatic models conserve the
-populations n0..n3 (n0..n2); their step matrix is made to conserve them
-to rounding, so the trace does not drift over many steps.
+light and at Omega = 0.  Every variant conserves the populations it
+evolves; its step matrix is made to conserve them to rounding, so the
+trace does not drift over many steps.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeViolation
-from .model import PhysicalParams, ScatteringRates, light_flux, lorentzian
+from .errors import DegenerateRates, RegimeViolation
+from .model import (PhysicalParams, ScatteringRates, effective_rates, light_flux,
+                    lorentzian)
 
 _ADIABATIC_SATURATION_LIMIT = 0.1
 
@@ -50,8 +56,8 @@ _PADE13 = (
 )
 _THETA13 = 5.371920351148152
 
-# The population variables start at this index in the full and adiabatic
-# state vectors: [u, v, n0, ...].
+# The population variables start at this index in the state vector of every
+# model variant: [u, v, n0, ...].
 _FIRST_POPULATION = 2
 
 
@@ -69,19 +75,6 @@ class SystemState:
     def as_vector(self) -> np.ndarray:
         return np.array([self.u, self.v, self.n0, self.n1, self.n2, self.n3])
 
-    @classmethod
-    def from_vector(cls, y) -> "SystemState":
-        return cls(*(float(x) for x in y))
-
-    @property
-    def trace(self) -> float:
-        return self.n0 + self.n1 + self.n2 + self.n3
-
-    @property
-    def p1(self) -> float:
-        """Probability of the probed F=1 manifold (levels 1 and 2)."""
-        return self.n1 + self.n2
-
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -98,9 +91,6 @@ class TimeSeries:
     def trace(self) -> np.ndarray:
         return self.y[:, 2:].sum(axis=1)
 
-    def state(self, i: int) -> SystemState:
-        return SystemState.from_vector(self.y[i])
-
 
 def generator(
     params: PhysicalParams, rates: ScatteringRates, model: str = "full"
@@ -115,6 +105,13 @@ def generator(
 
     model "adiabatic": 5x5 on [u, v, n0, n1, n2], n3 eliminated: the
     scattered flux r1*n1 + r2*n2 redistributes instantly.
+
+    model "two-level": 4x4 on [u, v, n0, n1], the Bloch equations of the
+    0-1 qubit with gamma_eff and Gamma_eff = Omega^2/r2 from
+    model.effective_rates: the coherence decays at gamma_eff and Gamma_eff
+    pumps 0 -> 1.  Raises DegenerateRates when r2 = 0 (no longitudinal
+    channel) and ValueError when gamma_eff < Gamma_eff/2 (not a physical
+    qubit channel).
 
     Each population diagonal entry is minus the rates out of that level, so
     the population columns sum to exactly 0 in floating point.
@@ -146,6 +143,21 @@ def generator(
                 [0.0, 0.0, 0.0, b2 * r1, -b1 * r2],
             ]
         )
+    if model == "two-level":
+        eff = effective_rates(params, rates)
+        if eff.Gamma_eff is None:
+            raise DegenerateRates("r2 = 0: the two-level model has no longitudinal rate")
+        gamma, Gamma = eff.gamma_eff, eff.Gamma_eff
+        if not gamma >= Gamma / 2.0:
+            raise ValueError("unphysical rates: gamma_eff must be >= Gamma_eff/2")
+        return np.array(
+            [
+                [-gamma, -dmw, 0.0, 0.0],
+                [dmw, -gamma, om, -om],
+                [0.0, -0.5 * om, -Gamma, 0.0],
+                [0.0, 0.5 * om, Gamma, 0.0],
+            ]
+        )
     raise ValueError(f"unknown model variant {model!r}")
 
 
@@ -175,15 +187,13 @@ def _expm(M: np.ndarray) -> np.ndarray:
     return X + eye
 
 
-def _propagate(
-    A: np.ndarray, y0, t_grid: np.ndarray, conserving: bool = True
-) -> np.ndarray:
+def _propagate(A: np.ndarray, y0, t_grid: np.ndarray) -> np.ndarray:
     """States expm(A t) @ y0 at the points of a uniform grid, shape (n, len(y0)).
 
-    conserving: the entries from _FIRST_POPULATION on are populations whose
-    sum A conserves.  The last population row of each propagator is then
-    rebuilt from the others, so the propagator conserves that sum to
-    rounding however large |A h| is.
+    The entries from _FIRST_POPULATION on are populations whose sum A
+    conserves.  The last population row of each propagator is rebuilt from
+    the others, so the propagator conserves that sum to rounding however
+    large |A h| is.
     """
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a non-empty 1-d array")
@@ -194,10 +204,9 @@ def _propagate(
 
     def propagator(t):
         P = _expm(A * t)
-        if conserving:
-            e = np.zeros(len(A))
-            e[_FIRST_POPULATION:] = 1.0
-            P[-1] = e - P[_FIRST_POPULATION:-1].sum(axis=0)
+        e = np.zeros(len(A))
+        e[_FIRST_POPULATION:] = 1.0
+        P[-1] = e - P[_FIRST_POPULATION:-1].sum(axis=0)
         return P
 
     y0 = np.asarray(y0, dtype=float)
@@ -210,83 +219,33 @@ def _propagate(
     return ys
 
 
-def derivative(
-    state: SystemState, params: PhysicalParams, rates: ScatteringRates
-) -> SystemState:
-    """Right-hand side A y of the four-level equations of motion."""
-    return SystemState.from_vector(generator(params, rates) @ state.as_vector())
-
-
 def integrate(
     initial: SystemState,
     params: PhysicalParams,
     rates: ScatteringRates,
     t_grid,
+    model: str = "full",
 ) -> TimeSeries:
-    """Evolve the full four-level model from `initial` at t = 0 to the
-    points of the uniform time grid t_grid (ValueError otherwise)."""
+    """Evolve model variant `model` (see generator) from `initial` at t = 0
+    to the points of the uniform time grid t_grid (ValueError otherwise).
+
+    The variant evolves the first len(A) entries of `initial`; the returned
+    series has all six columns, with the quasi-static n3 rebuilt for the
+    adiabatic model and n2 = n3 = 0 for the two-level model.  The
+    adiabatic model raises RegimeViolation when any Zeeman component is
+    driven beyond I(m)*L(m) = 0.1, where the elimination is unjustified.
+    """
+    if model == "adiabatic":
+        for m in (-1, 0, +1):
+            if light_flux(params, m) * lorentzian(params, m) > _ADIABATIC_SATURATION_LIMIT:
+                raise RegimeViolation(
+                    f"I({m:+d})*L({m:+d}) > {_ADIABATIC_SATURATION_LIMIT}: adiabatic "
+                    "elimination of the optical level is unjustified"
+                )
     t_grid = np.asarray(t_grid, dtype=float)
-    ys = _propagate(generator(params, rates, "full"), initial.as_vector(), t_grid)
+    A = generator(params, rates, model)
+    ys = np.zeros((t_grid.size, 6))
+    ys[:, :len(A)] = _propagate(A, initial.as_vector()[:len(A)], t_grid)
+    if model == "adiabatic":
+        ys[:, 5] = (rates.r1 * ys[:, 3] + rates.r2 * ys[:, 4]) / params.gamma3
     return TimeSeries(t=t_grid, y=ys)
-
-
-def integrate_adiabatic(
-    initial: SystemState,
-    params: PhysicalParams,
-    rates: ScatteringRates,
-    t_grid,
-) -> TimeSeries:
-    """Evolve the reduced five-variable model (optical level eliminated)
-    from `initial` at t = 0 to the points of the uniform grid t_grid.
-
-    Raises RegimeViolation when any Zeeman component is driven beyond
-    I(m)*L(m) = 0.1, where the elimination is unjustified.  The returned
-    series carries the reconstructed quasi-static n3 in its last column.
-    """
-    for m in (-1, 0, +1):
-        if light_flux(params, m) * lorentzian(params, m) > _ADIABATIC_SATURATION_LIMIT:
-            raise RegimeViolation(
-                f"I({m:+d})*L({m:+d}) > {_ADIABATIC_SATURATION_LIMIT}: adiabatic "
-                "elimination of the optical level is unjustified"
-            )
-    t_grid = np.asarray(t_grid, dtype=float)
-    A = generator(params, rates, "adiabatic")
-    ys5 = _propagate(A, initial.as_vector()[:5], t_grid)
-    n3 = (rates.r1 * ys5[:, 3] + rates.r2 * ys5[:, 4]) / params.gamma3
-    return TimeSeries(t=t_grid, y=np.column_stack([ys5, n3]))
-
-
-def integrate_effective_two_level(
-    initial: tuple[float, float, float],
-    gamma_eff: float,
-    Gamma_eff: float,
-    omega_mw: float,
-    t_grid,
-    delta_mw: float = 0.0,
-) -> TimeSeries:
-    """Effective two-level Bloch evolution with transverse rate gamma and
-    longitudinal rate Gamma decaying into the excited state.
-
-    initial is (w, u, v) with w = n1 - n0, at t = 0; t_grid is uniform.
-    Returns a TimeSeries whose populations columns hold n0 = (1-w)/2,
-    n1 = (1+w)/2, n2 = n3 = 0, so p1 has its usual meaning.  On resonance
-    the stationary point is P1 = 1 - (1/2) I/(1+I) with
-    I = Omega^2/(Gamma*gamma).
-    """
-    if not gamma_eff >= Gamma_eff / 2.0:
-        raise ValueError("unphysical rates: gamma_eff must be >= Gamma_eff/2")
-    # [w, u, v, 1]: the constant component carries the pull of w toward +1
-    A = np.array(
-        [
-            [-Gamma_eff, 0.0, omega_mw, Gamma_eff],
-            [0.0, -gamma_eff, -delta_mw, 0.0],
-            [-omega_mw, delta_mw, -gamma_eff, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
-    )
-    t_grid = np.asarray(t_grid, dtype=float)
-    ys = _propagate(A, [*initial, 1.0], t_grid, conserving=False)
-    w, u, v = ys[:, 0], ys[:, 1], ys[:, 2]
-    zero = np.zeros_like(w)
-    y6 = np.column_stack([u, v, (1 - w) / 2, (1 + w) / 2, zero, zero])
-    return TimeSeries(t=t_grid, y=y6)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dynamics import SystemState, integrate, integrate_adiabatic
+from .dynamics import SystemState, integrate
 from .model import PhysicalParams, ScatteringRates
 
 RNG_STREAM = "philox-v1"
@@ -144,12 +144,11 @@ def run_trajectories(
     sampling one deterministic solution, so a single evolution per
     initial state covers every N.
     """
-    run = {"full": integrate, "adiabatic": integrate_adiabatic}[model]
     t_grid = np.arange(config.n_max + 1) * config.dt_unit
-    curve0 = run(SystemState(n0=1.0), params, rates, t_grid).p1[1:]
+    curve0 = integrate(SystemState(n0=1.0), params, rates, t_grid, model).p1[1:]
     curve1 = curve0
     if config.prep_error > 0:
-        curve1 = run(SystemState(n0=0.0, n1=1.0), params, rates, t_grid).p1[1:]
+        curve1 = integrate(SystemState(n0=0.0, n1=1.0), params, rates, t_grid, model).p1[1:]
     outcomes = _sample_outcomes(curve0, curve1, config)
     return TrajectoryBatch(config, params.omega_mw, curve0, curve1, outcomes)
 

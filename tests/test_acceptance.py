@@ -17,7 +17,6 @@ from iondeco.design import DesignTarget, design_decoherence
 from iondeco.dynamics import (
     SystemState,
     integrate,
-    integrate_adiabatic,
 )
 from iondeco.errors import InfeasibleDesign
 from iondeco.fitting import fit_nutation, invert_saturation
@@ -94,7 +93,7 @@ def test_criterion_2_plateau_family(report):
     for sqrt_r2gl, plateau in expected.items():
         r = rates_from_sqrt(700, sqrt_r2gl)
         t = np.arange(301) * 100e-6
-        ts = integrate_adiabatic(SystemState(), p, r, t)
+        ts = integrate(SystemState(), p, r, t, "adiabatic")
         worst = max(worst, abs(ts.p1[-1] - plateau))
     report(2, "nutation plateau family", worst < 1e-2,
            f"worst abs err {worst:.2e}")
@@ -114,7 +113,7 @@ def test_criterion_3_monotone_damping_ladder(report):
         r = scattering_rates(p)
         t_max = 40 * 2 * math.pi / omega if r.r1 == 0 else min(10 / r.r1, 60e-3)
         t = np.linspace(0.0, t_max, 500)
-        ts = integrate_adiabatic(SystemState(), p, r, t)
+        ts = integrate(SystemState(), p, r, t, "adiabatic")
         lams.append(fit_nutation(ts.t, ts.p1).lambda_fit)
     ok = lams[0] < 1e-6 * omega and lams[0] < lams[1] < lams[2]
     report(3, "damping monotone in light level", ok,
@@ -137,7 +136,7 @@ def test_criterion_4_envelope_rate_identification(report):
                                i0=i0, alpha=math.radians(alpha_deg))
             r = scattering_rates(p)
             t = np.linspace(0.0, 14 / r.r1, 400)
-            ts = integrate_adiabatic(SystemState(), p, r, t)
+            ts = integrate(SystemState(), p, r, t, "adiabatic")
             fit = fit_nutation(ts.t, ts.p1)
             worst = max(worst, abs(fit.lambda_fit / (r.r1 + p.gamma_ph_extra) - 1))
     report(4, "envelope decay identifies r1 + gamma_ph to 20%",
@@ -153,7 +152,7 @@ def test_criterion_5_ratio_identification(report):
                                i0=i0, alpha=math.radians(alpha_deg))
             r = scattering_rates(p)
             t = np.linspace(0.0, 14 / r.r1, 400)
-            ts = integrate_adiabatic(SystemState(), p, r, t)
+            ts = integrate(SystemState(), p, r, t, "adiabatic")
             ratio = invert_saturation(fit_nutation(ts.t, ts.p1).p_inf_fit)
             worst = max(worst, abs(ratio / (r.r2 / r.r1) - 1))
     report(5, "plateau inversion identifies r2/r1 to 10%",

@@ -329,17 +329,21 @@ class TestExitCodes:
         (["fit", "{curve}", "--omega-2pikhz", "inf"], "tau_s,p1\n{good}"),
         (["fit", "{curve}", "--omega-2pikhz", "0"], "tau_s,p1\n{good}"),
         (["fit", "{curve}", "--omega-2pikhz", "-4.2"], "tau_s,p1\n{good}"),
+        (["fit", "{curve}"], "tau_s,p1\n{reversed}"),
     ], ids=["text-cell", "short-rows", "nan-cell", "ragged-rows", "no-rows", "dt-text",
             "not-text", "missing-file", "out-dir-missing", "omega-nan", "omega-inf",
-            "omega-zero", "omega-negative"])
+            "omega-zero", "omega-negative", "time-decreasing"])
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, text):
-        # {good}: rows (tau_s, p1) of a damped nutation that the fit resolves
+        # {good}: rows (tau_s, p1) of a damped nutation that the fit resolves;
+        # {reversed}: the same rows in reverse order
         tau = np.arange(1, 301) * 1e-4
         p1 = 2 / 3 * (1 - np.exp(-300 * tau) * np.cos(4.2 * TWO_PI_KHZ * tau))
-        good = "".join(f"{t!r},{p!r}\n" for t, p in zip(tau.tolist(), p1.tolist()))
+        rows = [f"{t!r},{p!r}\n" for t, p in zip(tau.tolist(), p1.tolist())]
         curve = tmp_path / "curve.csv"
         if text is not None:
-            curve.write_bytes(text.replace("{good}", good).encode("latin-1"))
+            text = text.replace("{good}", "".join(rows))
+            text = text.replace("{reversed}", "".join(rows[::-1]))
+            curve.write_bytes(text.encode("latin-1"))
         rc = main([a.format(curve=curve, dir=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert rc == 2

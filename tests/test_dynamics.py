@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm as scipy_expm
 
-from iondeco.errors import RegimeViolation
+from iondeco.errors import DegenerateRates, RegimeViolation
 from iondeco.dynamics import (
     SystemState,
     _expm,
     _propagate,
-    derivative,
     generator,
     integrate,
-    integrate_adiabatic,
-    integrate_effective_two_level,
 )
 from iondeco.model import (
     TWO_PI_KHZ,
@@ -45,24 +42,29 @@ def rates_from_sqrt(sqrt_2r1gl: float, sqrt_r2gl: float) -> ScatteringRates:
 NO_LIGHT = ScatteringRates(0.0, 0.0, (0.0, 0.0, 0.0))
 
 
+def integrate_two_level(initial, gamma, Gamma, omega, t, delta_mw=0.0):
+    """integrate(..., "two-level") at the scattering rates r1 = gamma,
+    r2 = Omega^2/Gamma, whose effective rates are (gamma, Gamma)."""
+    p = PhysicalParams(omega_mw=omega, gamma3=GAMMA3, delta_mw=delta_mw)
+    r = ScatteringRates(r1=gamma, r2=omega**2 / Gamma, p3_mean=(0, 0, 0))
+    return integrate(initial, p, r, t, "two-level")
+
+
 class TestDerivative:
     def test_population_flow_is_traceless(self):
-        p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3, gamma_ph_extra=11.0)
-        r = ScatteringRates(r1=300.0, r2=700.0, p3_mean=(0, 0, 0))
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = rng.dirichlet([1, 1, 1, 1])
-            s = SystemState(u=rng.uniform(-1, 1), v=rng.uniform(-1, 1),
-                            n0=n[0], n1=n[1], n2=n[2], n3=n[3])
-            d = derivative(s, p, r)
-            scale = p.gamma3 + r.r1 + r.r2 + p.omega_mw
-            assert abs(d.n0 + d.n1 + d.n2 + d.n3) < 1e-13 * scale
+        """In every model the population rows of A sum to exactly 0 in every
+        column, the premise of the conserving step of _propagate."""
+        p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3, gamma_ph_extra=11.0,
+                           delta_mw=0.3 * OMEGA)
+        for model in ("full", "adiabatic", "two-level"):
+            A = generator(p, rates_from_sqrt(700, 700), model)
+            assert np.all(A[2:].sum(axis=0) == 0.0), model
 
     def test_coherence_decay_rate(self):
         p = PhysicalParams(omega_mw=0.0, gamma3=GAMMA3, gamma_ph_extra=5.0)
         r = ScatteringRates(r1=20.0, r2=0.0, p3_mean=(0, 0, 0))
-        d = derivative(SystemState(u=1.0, v=0.0, n0=0.5, n1=0.5), p, r)
-        assert d.u == pytest.approx(-25.0)
+        d = generator(p, r) @ SystemState(u=1.0, v=0.0, n0=0.5, n1=0.5).as_vector()
+        assert d[0] == pytest.approx(-25.0)
 
 
 class TestFullModel:
@@ -118,21 +120,21 @@ class TestAdiabatic:
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
         t = np.linspace(0, 5 * 2 * math.pi / OMEGA, 200)
         full = integrate(SystemState(), p, NO_LIGHT, t)
-        red = integrate_adiabatic(SystemState(), p, NO_LIGHT, t)
+        red = integrate(SystemState(), p, NO_LIGHT, t, "adiabatic")
         assert np.max(np.abs(full.p1 - red.p1)) < 1e-10
 
     def test_reference_curve_plateau_two_thirds(self):
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
         r = rates_from_sqrt(700, 700)
         t = np.arange(301) * 100e-6
-        ts = integrate_adiabatic(SystemState(n0=0.8, n1=0.2), p, r, t)
+        ts = integrate(SystemState(n0=0.8, n1=0.2), p, r, t, "adiabatic")
         assert abs(ts.p1[-1] - 2 / 3) < 1e-3
 
     def test_symmetric_rates_plateau(self):
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
         r = ScatteringRates(r1=2e4, r2=2e4, p3_mean=(0, 0, 0))
         t = np.linspace(0, 30 / 2e4 * 20, 200)
-        ts = integrate_adiabatic(SystemState(), p, r, t)
+        ts = integrate(SystemState(), p, r, t, "adiabatic")
         assert abs(ts.p1[-1] - 0.75) < 1e-3
 
     def test_agrees_with_full_model_at_strong_scattering(self):
@@ -140,22 +142,20 @@ class TestAdiabatic:
         r = rates_from_sqrt(700, 350)
         t = np.arange(0, 151) * 100e-6
         full = integrate(SystemState(n0=0.8, n1=0.2), p, r, t)
-        red = integrate_adiabatic(SystemState(n0=0.8, n1=0.2), p, r, t)
+        red = integrate(SystemState(n0=0.8, n1=0.2), p, r, t, "adiabatic")
         assert np.max(np.abs(full.p1 - red.p1)) < 1e-3
 
     def test_regime_violation(self):
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3, i0=0.5, alpha=0.2)
         with pytest.raises(RegimeViolation):
-            integrate_adiabatic(SystemState(), p, scattering_rates(p),
-                                np.linspace(0, 1e-3, 10))
+            integrate(SystemState(), p, scattering_rates(p),
+                      np.linspace(0, 1e-3, 10), "adiabatic")
 
 
 class TestEffectiveTwoLevel:
     def test_pure_dephasing_equalizes(self):
         t = np.linspace(0, 4000.0, 200)  # gamma = 1e-2 -> t_max = 40/gamma
-        ts = integrate_effective_two_level(
-            (-1.0, 0.0, 0.0), 1e-2, 1e-15, OMEGA / 1e4, t
-        )
+        ts = integrate_two_level(SystemState(), 1e-2, 1e-15, OMEGA / 1e4, t)
         assert ts.p1[-1] == pytest.approx(0.5, abs=1e-4)
 
     def test_unit_saturation_parameter(self):
@@ -163,26 +163,68 @@ class TestEffectiveTwoLevel:
         gamma, Gamma = 2e3, 1e3
         omega = math.sqrt(Gamma * gamma)
         t = np.linspace(0, 50 / Gamma, 300)
-        ts = integrate_effective_two_level(
-            (-1.0, 0.0, 0.0), gamma, Gamma, omega, t
-        )
+        ts = integrate_two_level(SystemState(), gamma, Gamma, omega, t)
         assert ts.p1[-1] == pytest.approx(0.75, abs=1e-4)
 
     def test_matched_to_four_level_reference_curve(self):
+        # effective rates gamma = r1, Gamma = Omega^2/r2 of the four-level curve
+        p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
         r = rates_from_sqrt(700, 700)
-        gamma = r.r1
-        Gamma = OMEGA**2 / r.r2
         t = np.linspace(0, 30e-3, 400)
-        ts = integrate_effective_two_level(
-            (-1.0, 0.0, 0.0), gamma, Gamma, OMEGA, t
-        )
+        ts = integrate(SystemState(), p, r, t, "two-level")
         assert abs(ts.p1[-1] - 2 / 3) < 1e-2
 
     def test_unphysical_rates_rejected(self):
         with pytest.raises(ValueError):
-            integrate_effective_two_level(
-                (-1.0, 0.0, 0.0), 1.0, 10.0, OMEGA, np.linspace(0, 1, 5)
-            )
+            integrate_two_level(SystemState(), 1.0, 10.0, OMEGA, np.linspace(0, 1, 5))
+
+    def test_no_longitudinal_channel_rejected(self):
+        p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
+        r = ScatteringRates(r1=1e3, r2=0.0, p3_mean=(0, 0, 0))
+        with pytest.raises(DegenerateRates):
+            integrate(SystemState(), p, r, np.linspace(0, 1e-3, 5), "two-level")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        gamma_2pikhz=st.floats(0.01, 10.0),
+        Gamma_frac=st.floats(1e-6, 1.99),
+        omega_2pikhz=st.floats(0.5, 10.0),
+        delta_2pikhz=st.floats(0.1, 5.0),
+        detuning_sign=st.sampled_from([-1.0, 1.0]),
+        w=st.floats(-1.0, 1.0),
+        coherence=st.floats(0.0, 1.0),
+        phase=st.floats(0.0, 2 * math.pi),
+    )
+    def test_matches_homogeneous_bloch_reference(
+        self, gamma_2pikhz, Gamma_frac, omega_2pikhz, delta_2pikhz, detuning_sign,
+        w, coherence, phase,
+    ):
+        """The population form on [u, v, n0, n1] agrees to 1e-12 with the
+        Bloch equations on [w, u, v, 1], w = n1 - n0, whose constant
+        component pulls w toward +1 at Gamma, propagated by scipy's expm
+        at every grid point."""
+        gamma = gamma_2pikhz * TWO_PI_KHZ
+        # gamma > Gamma/2 by more than the rounding of the helper's r2
+        Gamma = Gamma_frac * gamma
+        omega = omega_2pikhz * TWO_PI_KHZ
+        delta = detuning_sign * delta_2pikhz * TWO_PI_KHZ
+        c = coherence * math.sqrt(1 - w * w)  # u^2 + v^2 <= 4 n0 n1 = 1 - w^2
+        u, v = c * math.cos(phase), c * math.sin(phase)
+        bloch = np.array(
+            [
+                [-Gamma, 0.0, omega, Gamma],
+                [0.0, -gamma, -delta, 0.0],
+                [-omega, delta, -gamma, 0.0],
+                [0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        t = np.arange(21) * 25e-6
+        ref = np.array([scipy_expm(bloch * ti) @ [w, u, v, 1.0] for ti in t])
+        expected = np.column_stack([ref[:, 1], ref[:, 2], (1 - ref[:, 0]) / 2,
+                                    (1 + ref[:, 0]) / 2, np.zeros((len(t), 2))])
+        ts = integrate_two_level(SystemState(u, v, (1 - w) / 2, (1 + w) / 2), gamma,
+                                 Gamma, omega, t, delta)
+        assert np.max(np.abs(ts.y - expected)) < 1e-12
 
 
 @pytest.mark.xfail(
@@ -196,7 +238,7 @@ def test_envelope_decay_matches_transverse_rate():
     p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
     r = rates_from_sqrt(70, 70)
     t = np.arange(301) * 100e-6
-    ts = integrate_adiabatic(SystemState(), p, r, t)
+    ts = integrate(SystemState(), p, r, t, "adiabatic")
     from iondeco.fitting import fit_nutation
 
     fit = fit_nutation(ts.t, ts.p1)
@@ -207,7 +249,7 @@ def test_coherence_bounded_by_populations():
     p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
     r = rates_from_sqrt(70, 70)
     t = np.linspace(0, 10e-3, 200)
-    ts = integrate_adiabatic(SystemState(n0=0.8, n1=0.2), p, r, t)
+    ts = integrate(SystemState(n0=0.8, n1=0.2), p, r, t, "adiabatic")
     u, v = ts.y[:, 0], ts.y[:, 1]
     assert np.all(u**2 + v**2 <= 4 * ts.y[:, 2] * ts.y[:, 3] + 1e-9)
 
@@ -273,12 +315,12 @@ def test_propagator_matches_solve_ivp_reference(
     c = coherence * math.sqrt(4 * n[0] * n[1])  # u^2 + v^2 <= 4 n0 n1
     initial = SystemState(c * math.cos(phase), c * math.sin(phase), *n)
     t = np.arange(21) * 25e-6
-    models = ((integrate, _rhs_full, 6), (integrate_adiabatic, _rhs_adiabatic, 5))
-    for run, rhs, size in models:
+    models = (("full", _rhs_full, 6), ("adiabatic", _rhs_adiabatic, 5))
+    for model, rhs, size in models:
         ref = solve_ivp(rhs, (t[0], t[-1]), initial.as_vector()[:size], method="Radau",
                         t_eval=t, rtol=1e-10, atol=1e-10, args=(p, r))
         assert ref.success
-        ts = run(initial, p, r, t)
+        ts = integrate(initial, p, r, t, model)
         assert np.max(np.abs(ts.y[:, :size] - ref.y.T)) < 1e-7
 
 
@@ -336,10 +378,10 @@ def test_propagator_matches_mpmath_reference(
     c = coherence * math.sqrt(4 * n[0] * n[1])
     initial = SystemState(c * math.cos(phase), c * math.sin(phase), *n)
     t = np.arange(21) * dt_us * 1e-6
-    for run, model, size in ((integrate, "full", 6), (integrate_adiabatic, "adiabatic", 5)):
+    for model, size in (("full", 6), ("adiabatic", 5)):
         A = generator(p, r, model)
         ref = _mp_propagate(A, initial.as_vector()[:size], t)
-        assert np.max(np.abs(run(initial, p, r, t).y[:, :size] - ref)) < 1e-12
+        assert np.max(np.abs(integrate(initial, p, r, t, model).y[:, :size] - ref)) < 1e-12
         assert np.max(np.abs(_expm(A * t[1]) - scipy_expm(A * t[1]))) < 1e-11
 
 

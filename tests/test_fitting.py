@@ -8,7 +8,7 @@ from scipy.optimize import least_squares
 from scipy.signal import hilbert
 
 from iondeco.errors import DegenerateRates, OscillationUnresolved, OutOfRange
-from iondeco.dynamics import SystemState, integrate_adiabatic
+from iondeco.dynamics import SystemState, integrate
 from iondeco.fitting import (
     NutationFit,
     _envelope,
@@ -119,7 +119,7 @@ class TestFitNutation:
                            i0=5e-4, alpha=math.radians(60))
         r = scattering_rates(p)
         t = np.linspace(0, 10 / r.r1, 400)
-        ts = integrate_adiabatic(SystemState(), p, r, t)
+        ts = integrate(SystemState(), p, r, t, "adiabatic")
         fit = fit_nutation(ts.t, ts.p1)
         gamma_c = r.r1
         bound = gamma_c**2 / (2 * p.omega_mw) + 1e-4 * p.omega_mw
@@ -284,7 +284,7 @@ def test_loop_closure_ratio_recovery_grid():
                                i0=i0, alpha=math.radians(alpha_deg))
             r = scattering_rates(p)
             t = np.linspace(0, 14 / r.r1, 400)
-            ts = integrate_adiabatic(SystemState(), p, r, t)
+            ts = integrate(SystemState(), p, r, t, "adiabatic")
             fit = fit_nutation(ts.t, ts.p1)
             ratio = invert_saturation(fit.p_inf_fit)
             assert ratio == pytest.approx(r.r2 / r.r1, rel=0.10)

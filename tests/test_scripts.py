@@ -1,0 +1,29 @@
+"""Smoke tests: the scripts in scripts/ run against the installed API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *args, cwd):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_run_curve_families(tmp_path):
+    proc = _run_script("run_curve_families.py", str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("sweep_energy_channel.csv", "sweep_dephasing_channel.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0].startswith("theta_rad,tau_s,")
+        assert len(lines) == 1 + 301
+
+
+def test_run_protocol_demo(tmp_path):
+    proc = _run_script("run_protocol_demo.py", "200", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "recovered r2/r1" in proc.stdout
