@@ -19,8 +19,6 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig
 from .design import DesignTarget, design_decoherence, verify_design
@@ -44,6 +42,7 @@ _NUMERICAL_ERRORS = (
     OscillationUnresolved,
     OutOfRange,
     DegenerateRates,
+    OverflowError,  # float arithmetic beyond the double range, e.g. Omega**2
 )
 
 _OVERRIDES = {
@@ -128,6 +127,8 @@ def cmd_rates(args) -> int:
 
 
 def _simulate_series(cfg: RunConfig):
+    import numpy as np
+
     params = cfg.physical_params()
     rates = cfg.rates(params)
     proto = cfg.protocol_config()
@@ -138,6 +139,8 @@ def _simulate_series(cfg: RunConfig):
 
 def _series_table(params, series) -> np.ndarray:
     """Rows [theta, tau, p1 = n1 + n2, n0, n1, n2, n3] after t = 0."""
+    import numpy as np
+
     t, y = series.t[1:], series.y[1:]
     return np.column_stack([params.omega_mw * t, t, y[:, 3] + y[:, 4], y[:, 2:]])
 
@@ -171,6 +174,8 @@ def read_curve_file(path):
     Returns (tau, p1, sigma): sigma is derived from the Wilson bounds of
     accumulated curves and None for deterministic curves.
     """
+    import numpy as np
+
     header, columns = {}, None
     try:
         with open(path) as fh:
@@ -295,6 +300,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     cfg = _build_config(args)
     path, _, valspec = args.axis.partition("=")
     try:

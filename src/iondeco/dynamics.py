@@ -33,9 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DegenerateRates, RegimeViolation
+from .errors import DegenerateRates, OutOfRange, RegimeViolation
 from .model import (PhysicalParams, ScatteringRates, effective_rates, light_flux,
                     lorentzian)
 
@@ -60,6 +58,11 @@ _THETA13 = 5.371920351148152
 # model variant: [u, v, n0, ...].
 _FIRST_POPULATION = 2
 
+# How far a propagated population may stray outside [0, 1].  Exact
+# propagation stays within about 1e-12 of it; a state beyond this bound has
+# lost its accuracy.
+_POPULATION_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class SystemState:
@@ -73,6 +76,8 @@ class SystemState:
     n3: float = 0.0
 
     def as_vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.u, self.v, self.n0, self.n1, self.n2, self.n3])
 
 
@@ -116,6 +121,8 @@ def generator(
     Each population diagonal entry is minus the rates out of that level, so
     the population columns sum to exactly 0 in floating point.
     """
+    import numpy as np
+
     om = params.omega_mw
     dmw = params.delta_mw
     gc = rates.r1 + params.gamma_ph_extra
@@ -169,6 +176,8 @@ def _expm(M: np.ndarray) -> np.ndarray:
     2^s (about 1e4 for a stiff full-model step) in the slow modes, whose
     part of X is small and so rounds at its own scale.
     """
+    import numpy as np
+
     b = _PADE13
     norm = np.linalg.norm(M, 1)
     s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
@@ -195,6 +204,8 @@ def _propagate(A: np.ndarray, y0, t_grid: np.ndarray) -> np.ndarray:
     the others, so the propagator conserves that sum to rounding however
     large |A h| is.
     """
+    import numpy as np
+
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a non-empty 1-d array")
     h = (t_grid[-1] - t_grid[0]) / max(t_grid.size - 1, 1)
@@ -234,7 +245,13 @@ def integrate(
     adiabatic model and n2 = n3 = 0 for the two-level model.  The
     adiabatic model raises RegimeViolation when any Zeeman component is
     driven beyond I(m)*L(m) = 0.1, where the elimination is unjustified.
+
+    Raises OutOfRange when a propagated state is not finite or a population
+    leaves [0, 1] by more than _POPULATION_SLACK: the step overflowed or
+    lost its accuracy (for example |A h| near the float range).
     """
+    import numpy as np
+
     if model == "adiabatic":
         for m in (-1, 0, +1):
             if light_flux(params, m) * lorentzian(params, m) > _ADIABATIC_SATURATION_LIMIT:
@@ -248,4 +265,9 @@ def integrate(
     ys[:, :len(A)] = _propagate(A, initial.as_vector()[:len(A)], t_grid)
     if model == "adiabatic":
         ys[:, 5] = (rates.r1 * ys[:, 3] + rates.r2 * ys[:, 4]) / params.gamma3
+    pops = ys[:, _FIRST_POPULATION:]
+    if not (np.isfinite(ys).all() and pops.min() >= -_POPULATION_SLACK
+            and pops.max() <= 1.0 + _POPULATION_SLACK):
+        raise OutOfRange("propagation lost accuracy: a state is not finite or a "
+                         "population left [0, 1]")
     return TimeSeries(t=t_grid, y=ys)

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateRates, OscillationUnresolved, OutOfRange
 from .model import EffectiveRates
 
@@ -35,6 +33,8 @@ class NutationFit:
 def _spectral_peak(t: np.ndarray, y: np.ndarray) -> float:
     """Dominant angular frequency of a (near) uniformly sampled signal,
     parabolic interpolation around the FFT peak."""
+    import numpy as np
+
     dt = np.mean(np.diff(t))
     yf = np.abs(np.fft.rfft(y - y.mean()))
     if len(yf) < 3:
@@ -52,6 +52,8 @@ def _spectral_peak(t: np.ndarray, y: np.ndarray) -> float:
 def _residual(x, s, y, w):
     """Weighted residual of the damped cosine x = (omega, lambda, p_inf,
     amplitude, phase) in normalized time s; w = None means unit weights."""
+    import numpy as np
+
     om, lam, pi_, amp, phi = x
     r = pi_ + amp * np.exp(-lam * s) * np.cos(om * s + phi) - y
     return r if w is None else r * w
@@ -59,6 +61,8 @@ def _residual(x, s, y, w):
 
 def _jacobian(x, s, y, w):
     """Analytic Jacobian of _residual, one column per parameter."""
+    import numpy as np
+
     om, lam, _, amp, phi = x
     e = np.exp(-lam * s)
     ec, es = e * np.cos(om * s + phi), e * np.sin(om * s + phi)
@@ -69,6 +73,8 @@ def _jacobian(x, s, y, w):
 def _envelope(x: np.ndarray) -> np.ndarray:
     """Modulus of the analytic signal of x: FFT, weights 1 (zero and, for
     even lengths, Nyquist frequency), 2 (positive) and 0 (negative), IFFT."""
+    import numpy as np
+
     n = len(x)
     h = np.zeros(n)
     h[0] = 1.0
@@ -76,9 +82,6 @@ def _envelope(x: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         h[n // 2] = 1.0
     return np.abs(np.fft.ifft(np.fft.fft(x) * h))
-
-
-_LOWER_BOUNDED = np.array([True, True, False, False, False])  # omega, lambda >= 0
 
 
 def _levenberg_marquardt(x0, s, y, w, max_iter, tol=1e-8):
@@ -99,6 +102,9 @@ def _levenberg_marquardt(x0, s, y, w, max_iter, tol=1e-8):
     times its column norm times |r|.  Returns (x, residual evaluations,
     converged); converged is False after max_iter steps.
     """
+    import numpy as np
+
+    lower_bounded = np.array([True, True, False, False, False])  # omega, lambda >= 0
     x = np.array(x0, dtype=float)
     r = _residual(x, s, y, w)
     cost, nfev, mu, nu = r @ r, 1, 1e-3, 2.0
@@ -106,13 +112,13 @@ def _levenberg_marquardt(x0, s, y, w, max_iter, tol=1e-8):
     A, g = J.T @ J, J.T @ r
     for _ in range(max_iter):
         d = np.diag(A)
-        free = ~(_LOWER_BOUNDED & (x <= 0) & (g > 0))
+        free = ~(lower_bounded & (x <= 0) & (g > 0))
         if np.all(np.abs(g[free]) <= tol * np.sqrt(d[free] * cost)):
             return x, nfev, True
         M = A + mu * np.diag(np.maximum(d, 1e-10 * d.max()))
         step = np.zeros_like(x)
         step[free] = np.linalg.solve(M[np.ix_(free, free)], -g[free])
-        x_new = np.where(_LOWER_BOUNDED, np.maximum(x + step, 0.0), x + step)
+        x_new = np.where(lower_bounded, np.maximum(x + step, 0.0), x + step)
         step = x_new - x
         predicted = -(2 * g @ step + step @ A @ step)
         step_norm, x_norm = np.linalg.norm(step), np.linalg.norm(x)
@@ -152,6 +158,8 @@ def fit_nutation(t, p1, sigma=None, max_iter: int = 200) -> NutationFit:
     oscillation period, or the curve is overdamped (initial lambda
     estimate above the frequency estimate).
     """
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     y = np.asarray(p1, dtype=float)
     if t.ndim != 1 or t.shape != y.shape:
@@ -241,7 +249,8 @@ def effective_from_fit(fit: NutationFit, omega_mw: float) -> EffectiveRates:
     """Translate a nutation fit into effective two-level rates.
 
     gamma = lambda_fit; r2/r1 from the plateau; Gamma = Omega^2 / r2 with
-    r1 = gamma and r2 = gamma * (r2/r1).
+    r1 = gamma and r2 = gamma * (r2/r1).  Raises OutOfRange when Gamma
+    exceeds the float range.
     """
     if fit.lambda_fit <= 0:
         raise DegenerateRates("undamped fit: no decoherence to quantify")
@@ -249,4 +258,6 @@ def effective_from_fit(fit: NutationFit, omega_mw: float) -> EffectiveRates:
     gamma = fit.lambda_fit
     r2 = gamma * ratio
     Gamma = omega_mw**2 / r2 if r2 > 0 else None
+    if Gamma == math.inf:
+        raise OutOfRange("Gamma = Omega^2 / r2 beyond the float range")
     return EffectiveRates(gamma_eff=gamma, Gamma_eff=Gamma, p1_inf=fit.p_inf_fit)

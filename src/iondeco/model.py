@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateRates
+from .errors import DegenerateRates, OutOfRange
 
 #: conversion factor from the 2*pi x kHz reporting convention to rad/s
 TWO_PI_KHZ = 2.0 * math.pi * 1e3
@@ -181,9 +181,12 @@ def effective_rates(params: PhysicalParams, rates: ScatteringRates) -> Effective
 
     gamma_eff = r1 + gamma_ph_extra.  Gamma_eff = Omega^2 / r2 (the
     dimensionally consistent form of the energy-relaxation identification;
-    see README).  Absent channels are reported as None.
+    see README).  Absent channels are reported as None.  Raises OutOfRange
+    when a rate exceeds the float range (Omega^2 over a subnormal r2).
     """
     gamma_eff = rates.r1 + params.gamma_ph_extra
     Gamma_eff = params.omega_mw**2 / rates.r2 if rates.r2 > 0 else None
+    if gamma_eff == math.inf or Gamma_eff == math.inf:
+        raise OutOfRange("effective rate beyond the float range")
     p1_inf = saturation_probability(rates) if rates.r1 > 0 else None
     return EffectiveRates(gamma_eff=gamma_eff, Gamma_eff=Gamma_eff, p1_inf=p1_inf)

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
 from .dynamics import SystemState, integrate
 from .model import PhysicalParams, ScatteringRates
 
@@ -124,6 +122,8 @@ class TrajectoryBatch:
 
 
 def _sample_outcomes(curve0, curve1, config: ProtocolConfig) -> np.ndarray:
+    import numpy as np
+
     on, eps = config.detection.on_probability, config.prep_error
     q = ((1 - eps) * on(curve0, config.probe_duration)
          + eps * on(curve1, config.probe_duration))
@@ -144,6 +144,8 @@ def run_trajectories(
     sampling one deterministic solution, so a single evolution per
     initial state covers every N.
     """
+    import numpy as np
+
     t_grid = np.arange(config.n_max + 1) * config.dt_unit
     curve0 = integrate(SystemState(n0=1.0), params, rates, t_grid, model).p1[1:]
     curve1 = curve0
@@ -174,6 +176,8 @@ class AccumulatedCurve:
 
 def wilson_interval(k: int | np.ndarray, n: int, z: float = 1.96):
     """Wilson score interval for a binomial proportion."""
+    import numpy as np
+
     k = np.asarray(k, dtype=float)
     phat = k / n
     denom = 1.0 + z**2 / n
@@ -185,6 +189,8 @@ def wilson_interval(k: int | np.ndarray, n: int, z: float = 1.96):
 def accumulate(batch: TrajectoryBatch, z: float = 1.96) -> AccumulatedCurve:
     """Average a batch's trajectories into an estimated P1 curve with
     Wilson confidence bounds."""
+    import numpy as np
+
     cfg = batch.config
     counts = batch.outcomes.sum(0)
     n_traj = cfg.n_trajectories
@@ -227,6 +233,8 @@ def _config_header(cfg: ProtocolConfig, omega_mw: float) -> list[str]:
 def write_trajectories(path, batch: TrajectoryBatch) -> None:
     """Line-oriented text format: '# key=value' header, then one 0/1 line
     per trajectory (trajectory index order)."""
+    import numpy as np
+
     rows = np.full((batch.config.n_trajectories, batch.config.n_max + 1),
                    ord("\n"), dtype=np.uint8)
     rows[:, :-1] = batch.outcomes + ord("0")
@@ -239,6 +247,8 @@ def write_trajectories(path, batch: TrajectoryBatch) -> None:
 def read_trajectories(path) -> tuple[dict, np.ndarray]:
     """Parse a trajectory file back into (header dict, uint8 outcomes array
     of shape (n_trajectories, n_max))."""
+    import numpy as np
+
     header: dict[str, str] = {}
     with open(path, "rb") as fh:
         text = fh.read()
@@ -259,6 +269,8 @@ def read_trajectories(path) -> tuple[dict, np.ndarray]:
 
 def write_curve_csv(path, curve: AccumulatedCurve, provenance: list[str] | None = None):
     """CSV columns: N, theta_rad, p1_mean, ci_low, ci_high, n_samples."""
+    import numpy as np
+
     table = np.column_stack([curve.n, curve.theta_rad, curve.p1_mean, curve.ci_low,
                              curve.ci_high, np.full(len(curve.n), curve.n_samples)])
     with open(path, "w") as fh:

@@ -4,11 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iondeco
 from iondeco import __version__
@@ -16,7 +19,8 @@ from iondeco.cli import _OVERRIDES, _simulate_series, main, read_curve_file
 from iondeco.config import RunConfig
 from iondeco.errors import ConfigError
 from iondeco.model import TWO_PI_KHZ
-from iondeco.protocol import AccumulatedCurve, format_table, write_curve_csv
+from iondeco.protocol import (AccumulatedCurve, format_table, read_trajectories,
+                              write_curve_csv)
 
 
 class TestRunConfig:
@@ -350,6 +354,25 @@ class TestExitCodes:
         assert err.startswith("config error") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dt-us", "1e6", "--omega-2pikhz", "1e20", "--i0", "4.2",
+         "--nmax", "5"],
+        ["simulate", "--dt-us", "1e20", "--nmax", "20"],
+        ["trajectories", "--dt-us", "1e20", "--nmax", "5", "--ntraj", "3"],
+        ["rates", "--alpha-deg", "4.2", "--omega-2pikhz", "1e300", "--i0", "1e100"],
+        ["sweep", "--dt-us", "1e20", "--omega-2pikhz", "1e300", "--nmax", "5",
+         "--axis", "physical.i0=0.5"],
+        ["rates", "--i0", "5e-104", "--alpha-deg", "5e-104", "--b-field-2pikhz", "5e-104"],
+    ], ids=["simulate-lost-accuracy", "simulate-overflow", "trajectories-overflow",
+            "rates-overflow", "sweep-infinite-step", "rates-infinite-Gamma"])
+    def test_overflow_exit_3(self, tmp_path, capsys, argv):
+        # a step |A h| near the float range either overflows or loses every
+        # digit; neither may be written as a curve
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 def _reference_series_rows(params, series):
     """The deleted cli._series_rows loop, verbatim."""
@@ -380,13 +403,45 @@ print(json.dumps({"codes": codes,
 """
 
 
-def _run_fresh(argvs):
-    """Run `main` on each argv in a fresh interpreter; return the exit codes
-    and the scipy modules loaded by the end."""
+_FRESH_NUMPY = """
+import json, sys
+
+def numpy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+
+import iondeco
+steps = [["import iondeco", None, numpy_modules()]]
+from iondeco.cli import main
+steps.append(["import iondeco.cli", None, numpy_modules()])
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --version and --help
+        code = exc.code
+    steps.append([" ".join(argv), code, numpy_modules()])
+print(json.dumps(steps))
+"""
+
+_FRESH_TRACED_NAMES = """
+import json, sys
+import iondeco.cli
+owners = {path: sys.modules[path] for path in ("iondeco.cli", "iondeco.protocol",
+                                               "iondeco.config")}
+owners["iondeco.cli.RunConfig"] = iondeco.cli.RunConfig
+names = json.loads(sys.argv[1])
+print(json.dumps([f"{path}.{attr}" for path, attrs in names.items() for attr in attrs
+                  if vars(owners[path]).get(attr) is None]))
+"""
+
+
+def _run_fresh(argvs, snippet=_FRESH_PROCESS):
+    """Run `snippet` (by default: `main` on each argv) in a fresh interpreter
+    with argvs as JSON in sys.argv[1]; return the JSON of its last stdout
+    line (by default: the exit codes and the scipy modules loaded by the end)."""
     src = str(Path(iondeco.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", snippet, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -416,6 +471,43 @@ class TestColdStart:
             ["fit", curve, "--omega-2pikhz", "4.2"],
         ])
         assert result == {"codes": [0] * 9, "scipy": []}
+
+    def test_rates_and_design_load_no_numpy(self, tmp_path):
+        design = ["design", "--omega-2pikhz", "10", "--target-gamma-2pikhz", "0.1",
+                  "--target-big-gamma-2pikhz", "500"]
+        curve = str(tmp_path / "curve.csv")
+        steps = _run_fresh([
+            ["--version"],
+            ["rates", "--help"],
+            ["rates", "--i0", "1e-3", "--alpha-deg", "60"],
+            [*design, "--b-field-2pikhz", "5000"],
+            [*design, "--optimize-b", "--b-max-2pikhz", "5000"],
+            [*design, "--i0-max", "1e-9"],
+            ["rates", "--config", str(tmp_path / "missing.yaml")],
+            ["simulate", "--i0", "3e-4", "--alpha-deg", "60", "--nmax", "60",
+             "--out", curve],
+            ["fit", curve],
+        ], snippet=_FRESH_NUMPY)
+        assert [code for _, code, _ in steps[2:]] == [0, 0, 0, 0, 0, 4, 2, 0, 0]
+        without = {step: numpy for step, _, numpy in steps[:-2]}
+        assert without == {step: [] for step in without}
+        assert all("numpy" in numpy for _, _, numpy in steps[-2:])
+
+    def test_traced_names_are_bound(self):
+        # every function the benchmark's tracer wraps, by the name the CLI
+        # (or the module calling it) resolves at call time
+        names = {
+            "iondeco.cli": ["main", "integrate", "run_trajectories", "accumulate",
+                            "write_trajectories", "write_curve_csv", "fit_nutation",
+                            "effective_from_fit", "design_decoherence", "verify_design",
+                            "effective_rates", "RunConfig"],
+            "iondeco.protocol": ["integrate"],
+            "iondeco.config": ["scattering_rates"],
+            "iondeco.cli.RunConfig": ["__init__", "load", "parse", "set_path", "serialize",
+                                      "hash", "physical_params", "rates", "initial_state",
+                                      "protocol_config", "model_variant"],
+        }
+        assert _run_fresh(names, snippet=_FRESH_TRACED_NAMES) == []
 
 
 class TestCurveTables:
@@ -511,3 +603,72 @@ class TestOverrideFlags:
         with pytest.raises(SystemExit) as exc:
             main(["rates", "--format", "csv"])
         assert exc.value.code == 2
+
+
+# Override flags as the shell passes them: floats of any kind, NaN, +-inf,
+# subnormals and the ends of the double range included, and ints on both
+# sides of their valid ranges.
+_FLOAT_FLAGS = [attr for attr, (_, cast) in _OVERRIDES.items() if cast is float]
+_ANY_FLOAT = st.floats() | st.sampled_from([1e308, -1e308, 5e-324, -5e-324])
+_FLAG_STRATEGIES = {**{attr: _ANY_FLOAT for attr in _FLOAT_FLAGS},
+                    "nmax": st.integers(-3, 40), "ntraj": st.integers(-3, 20)}
+# columns of the curve tables that hold populations or probabilities
+_POPULATION_COLUMNS = {"p1", "n0", "n1", "n2", "n3", "p1_mean", "ci_low", "ci_high"}
+_SLACK = 1e-9  # dynamics' bound on a propagated population outside [0, 1]
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(["rates", "simulate", "sweep", "trajectories"]))
+    flags = draw(st.fixed_dictionaries({}, optional=_FLAG_STRATEGIES))
+    # --flag=VALUE, so that a negative value reaches the config layer
+    argv = [command, *(f"--{attr.replace('_', '-')}={value!r}"
+                       for attr, value in flags.items())]
+    if command == "sweep":
+        path = _OVERRIDES[draw(st.sampled_from(_FLOAT_FLAGS))][0]
+        values = draw(st.lists(_ANY_FLOAT, max_size=2))
+        argv.append(f"--axis={path}=" + ",".join(map(repr, values)))
+    return argv
+
+
+def _check_curve_table(path):
+    with open(path) as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    columns = lines[0].strip().split(",")
+    table = np.loadtxt(lines[1:], delimiter=",", ndmin=2) if lines[1:] else np.empty((0, 0))
+    assert np.isfinite(table).all()
+    for name, column in zip(columns, table.T):
+        if name in _POPULATION_COLUMNS:
+            assert column.min() >= -_SLACK and column.max() <= 1 + _SLACK, name
+
+
+def _check_fuzzed_run(argv, out):
+    """Exit code in {0, 2, 3, 4}, never another exception; on exit 0, every
+    written value finite and every population within [0, 1]."""
+    try:
+        code = main([*argv, f"--out={out}"])
+    except SystemExit as exc:  # argparse rejects a value
+        code = exc.code
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        return
+    if argv[0] == "rates":
+        doc = json.loads(Path(out).read_text())
+        rates, effective = doc["rates"], doc["effective"]
+        probabilities = [*rates.pop("p3_mean_m_minus1_0_plus1"), effective.pop("p1_inf")]
+        values = [*rates.values(), *effective.values(), *probabilities]
+        assert all(math.isfinite(v) for v in values if v is not None)
+        assert all(0 <= p <= 1 for p in probabilities if p is not None)
+    elif argv[0] == "trajectories":
+        read_trajectories(f"{out}.traj.txt")  # ValueError unless every bit is 0 or 1
+        _check_curve_table(f"{out}.curve.csv")
+    else:
+        _check_curve_table(out)
+
+
+class TestFlagFuzz:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(argv=_fuzzed_argv())
+    def test_defined_exit_and_finite_output(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            _check_fuzzed_run(argv, os.path.join(tmp, "out"))

@@ -274,6 +274,11 @@ class TestEffectiveFromFit:
         with pytest.raises(OutOfRange):
             effective_from_fit(self._fit(100.0, 0.49), 1e4)
 
+    def test_gamma_beyond_float_range(self):
+        # r2 = 1e-300, so Omega^2 / r2 = 1e308 / 1e-300 overflows
+        with pytest.raises(OutOfRange, match="float range"):
+            effective_from_fit(self._fit(1e-300, 0.75), 1e154)
+
 
 def test_loop_closure_ratio_recovery_grid():
     # dynamics -> fit -> invert recovers r2/r1 from the plateau within 10%
