@@ -20,41 +20,26 @@ import sys
 import warnings
 
 from . import __version__
-from .config import RunConfig
+from .config import DEFAULTS, RunConfig
 from .design import DesignTarget, design_decoherence, verify_design
 from .dynamics import integrate
-from .errors import (
-    ConfigError,
-    DegenerateRates,
-    InfeasibleDesign,
-    IondecoError,
-    OscillationUnresolved,
-    OutOfRange,
-    RegimeViolation,
-)
+from .errors import ConfigError, DegenerateRates, InfeasibleDesign, IondecoError, OutOfRange
 from .fitting import effective_from_fit, fit_nutation
 from .model import TWO_PI_KHZ, effective_rates
 from .protocol import (accumulate, format_table, run_trajectories, write_curve_csv,
                        write_trajectories)
 
-_NUMERICAL_ERRORS = (
-    RegimeViolation,
-    OscillationUnresolved,
-    OutOfRange,
-    DegenerateRates,
-    OverflowError,  # float arithmetic beyond the double range, e.g. Omega**2
-)
-
+# override flag -> the config key it sets, whose default types the flag
 _OVERRIDES = {
-    "i0": ("physical.i0", float),
-    "alpha_deg": ("physical.alpha_deg", float),
-    "b_field_2pikhz": ("physical.b_field_2pikhz", float),
-    "omega_2pikhz": ("physical.omega_mw_2pikhz", float),
-    "detuning_2pikhz": ("physical.delta_laser_2pikhz", float),
-    "dt_us": ("protocol.dt_us", float),
-    "nmax": ("protocol.n_max", int),
-    "ntraj": ("protocol.n_trajectories", int),
-    "seed": ("protocol.seed", int),
+    "i0": "physical.i0",
+    "alpha_deg": "physical.alpha_deg",
+    "b_field_2pikhz": "physical.b_field_2pikhz",
+    "omega_2pikhz": "physical.omega_mw_2pikhz",
+    "detuning_2pikhz": "physical.delta_laser_2pikhz",
+    "dt_us": "protocol.dt_us",
+    "nmax": "protocol.n_max",
+    "ntraj": "protocol.n_trajectories",
+    "seed": "protocol.seed",
 }
 
 _SERIES_COLUMNS = "theta_rad,tau_s,p1,n0,n1,n2,n3"
@@ -63,13 +48,14 @@ _SERIES_COLUMNS = "theta_rad,tau_s,p1,n0,n1,n2,n3"
 def _add_common(parser):
     parser.add_argument("--config", help="YAML run configuration")
     parser.add_argument("--out", help="output path (default: stdout)")
-    for attr, (_, cast) in _OVERRIDES.items():
-        parser.add_argument("--" + attr.replace("_", "-"), type=cast)
+    for attr, path in _OVERRIDES.items():
+        section, key = path.split(".")
+        parser.add_argument("--" + attr.replace("_", "-"), type=type(DEFAULTS[section][key]))
 
 
 def _build_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    for attr, (path, _) in _OVERRIDES.items():
+    for attr, path in _OVERRIDES.items():
         value = getattr(args, attr)
         if value is not None:
             cfg.set_path(path, value)
@@ -382,14 +368,11 @@ def main(argv=None) -> int:
         loc = f" (at {exc.location})" if getattr(exc, "location", None) else ""
         print(f"config error: {exc}{loc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except InfeasibleDesign as exc:
         print(f"infeasible design ({exc.constraint}): {exc}", file=sys.stderr)
         return 4
-    except IondecoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IondecoError, OverflowError) as exc:  # OverflowError: beyond the float range
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

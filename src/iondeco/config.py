@@ -80,58 +80,44 @@ DEFAULTS = {
     },
 }
 
-_STR_KEYS = {"detection.mode", "integrator.model"}
-_INT_KEYS = {"protocol.n_max", "protocol.n_trajectories", "protocol.seed",
-             "detection.threshold"}
+# the values a key takes, by the type of its default; a bool is never one
+_KINDS = {
+    str: ((str,), "a string"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    type(None): ((int, float, type(None)), "a number"),
+}
 
 
 class RunConfig:
-    """Validated configuration document with defaults filled in."""
+    """Validated configuration document with defaults filled in.
+
+    DEFAULTS is the schema: a key takes a value of its default's kind (see
+    _KINDS).  A null document or section keeps its defaults.
+    """
 
     def __init__(self, data: dict | None = None):
         self.data = copy.deepcopy(DEFAULTS)
-        if data is not None:
-            self._merge(data)
-
-    def _merge(self, data: dict, prefix: str = ""):
-        if not isinstance(data, dict):
-            raise ConfigError(f"expected a mapping at '{prefix or '<root>'}'",
-                              location=prefix)
-        for key, value in data.items():
-            loc = f"{prefix}{key}"
-            if prefix == "":
-                if key not in DEFAULTS:
-                    raise ConfigError(f"unknown section '{loc}'", location=loc)
-                self._merge(value or {}, prefix=f"{key}.")
-                continue
-            section = prefix[:-1]
-            if key not in DEFAULTS[section]:
-                raise ConfigError(f"unknown key '{loc}'", location=loc)
-            self._set(section, key, value, loc)
-
-    def _set(self, section, key, value, loc):
-        if loc in _STR_KEYS:
-            if not isinstance(value, str):
-                raise ConfigError(f"'{loc}' must be a string", location=loc)
-        elif loc in _INT_KEYS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"'{loc}' must be an integer", location=loc)
-        elif value is None:
-            if DEFAULTS[section][key] is not None:
-                raise ConfigError(f"'{loc}' must be a number", location=loc)
-        elif not isinstance(value, (int, float)):
-            raise ConfigError(f"'{loc}' must be a number", location=loc)
-        self.data[section][key] = value
+        if not isinstance(data, (dict, type(None))):
+            raise ConfigError("expected a mapping at '<root>'")
+        for section, keys in (data or {}).items():
+            if section not in DEFAULTS:
+                raise ConfigError(f"unknown section '{section}'", location=section)
+            if not isinstance(keys, (dict, type(None))):
+                raise ConfigError(f"expected a mapping at '{section}'", location=section)
+            for key, value in (keys or {}).items():
+                self.set_path(f"{section}.{key}", value)
 
     def set_path(self, dotted: str, value):
-        """Set one 'section.key' entry (used by CLI flag overrides)."""
-        try:
-            section, key = dotted.split(".", 1)
-        except ValueError:
-            raise ConfigError(f"bad override path '{dotted}'", location=dotted)
-        if section not in DEFAULTS or key not in DEFAULTS[section]:
+        """Set one 'section.key' entry: every leaf of a document and every
+        CLI flag override comes through here."""
+        section, _, key = dotted.partition(".")
+        if key not in DEFAULTS.get(section, ()):
             raise ConfigError(f"unknown key '{dotted}'", location=dotted)
-        self._set(section, key, value, dotted)
+        accepted, kind = _KINDS[type(DEFAULTS[section][key])]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"'{dotted}' must be {kind}", location=dotted)
+        self.data[section][key] = value
 
     # -- I/O ---------------------------------------------------------------
 
@@ -144,7 +130,7 @@ class RunConfig:
             raise ConfigError(f"config parse error in {path}: {exc}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls(raw or {})
+        return cls(raw)
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
@@ -152,7 +138,7 @@ class RunConfig:
             raw = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config parse error: {exc}") from exc
-        return cls(raw or {})
+        return cls(raw)
 
     def serialize(self) -> str:
         return yaml.dump(self.data, Dumper=yaml.CSafeDumper, sort_keys=True)

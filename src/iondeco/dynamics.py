@@ -180,6 +180,8 @@ def _expm(M: np.ndarray) -> np.ndarray:
 
     b = _PADE13
     norm = np.linalg.norm(M, 1)
+    if not np.isfinite(norm):
+        raise OutOfRange("matrix exponential of a step |A h| beyond the float range")
     s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
     M = M / 2.0**s
     eye = np.eye(len(M))
@@ -222,11 +224,13 @@ def _propagate(A: np.ndarray, y0, t_grid: np.ndarray) -> np.ndarray:
 
     y0 = np.asarray(y0, dtype=float)
     ys = np.empty((t_grid.size, len(y0)))
-    # expm(A * 0) is exactly the identity, so a grid from 0 skips it
-    ys[0] = y0 if t_grid[0] == 0 else propagator(t_grid[0]) @ y0
-    step = propagator(h)
-    for i in range(1, t_grid.size):
-        ys[i] = step @ ys[i - 1]
+    # a state beyond the float range is left inf or nan for integrate to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        # expm(A * 0) is exactly the identity, so a grid from 0 skips it
+        ys[0] = y0 if t_grid[0] == 0 else propagator(t_grid[0]) @ y0
+        step = propagator(h)
+        for i in range(1, t_grid.size):
+            ys[i] = step @ ys[i - 1]
     return ys
 
 

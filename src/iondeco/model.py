@@ -182,10 +182,14 @@ def effective_rates(params: PhysicalParams, rates: ScatteringRates) -> Effective
     gamma_eff = r1 + gamma_ph_extra.  Gamma_eff = Omega^2 / r2 (the
     dimensionally consistent form of the energy-relaxation identification;
     see README).  Absent channels are reported as None.  Raises OutOfRange
-    when a rate exceeds the float range (Omega^2 over a subnormal r2).
+    when a rate exceeds the float range (Omega^2 itself, or over a
+    subnormal r2).
     """
     gamma_eff = rates.r1 + params.gamma_ph_extra
-    Gamma_eff = params.omega_mw**2 / rates.r2 if rates.r2 > 0 else None
+    try:
+        Gamma_eff = params.omega_mw**2 / rates.r2 if rates.r2 > 0 else None
+    except OverflowError:
+        Gamma_eff = math.inf
     if gamma_eff == math.inf or Gamma_eff == math.inf:
         raise OutOfRange("effective rate beyond the float range")
     p1_inf = saturation_probability(rates) if rates.r1 > 0 else None

@@ -42,13 +42,28 @@ def _poisson_log_pmf(j: int, mu: float) -> float:
 
 
 def _poisson_sf(threshold: int, mu: float) -> float:
-    """P(X > threshold) for X ~ Poisson(mu)."""
+    """P(X > threshold) for X ~ Poisson(mu).
+
+    The tail on the far side of the threshold from mu is summed outward
+    from the threshold, where its terms are largest, until a term falls
+    below 2**-60 of the sum.  So the cost does not grow with the
+    threshold; it grows as sqrt(mu) only for a threshold near mu.
+    """
     if threshold < 0:
         return 1.0
     if mu == 0:
         return 0.0
-    cdf = math.fsum(math.exp(_poisson_log_pmf(j, mu)) for j in range(threshold + 1))
-    return max(0.0, 1.0 - cdf)
+    upper = threshold >= mu
+    j, step = (threshold + 1, 1) if upper else (threshold, -1)
+    terms, total = [], 0.0
+    while j >= 0:
+        terms.append(math.exp(_poisson_log_pmf(j, mu)))
+        total += terms[-1]
+        if not terms[-1] > 2.0**-60 * total:  # nan (mu = inf) stops too
+            break
+        j += step
+    tail = math.fsum(terms)
+    return tail if upper else max(0.0, 1.0 - tail)
 
 
 @dataclass(frozen=True)

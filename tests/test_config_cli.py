@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import iondeco
 from iondeco import __version__
 from iondeco.cli import _OVERRIDES, _simulate_series, main, read_curve_file
-from iondeco.config import RunConfig
+from iondeco.config import DEFAULTS, RunConfig
 from iondeco.errors import ConfigError
 from iondeco.model import TWO_PI_KHZ
 from iondeco.protocol import (AccumulatedCurve, format_table, read_trajectories,
@@ -77,6 +77,60 @@ class TestRunConfig:
     def test_initial_state_must_normalize(self):
         with pytest.raises(ConfigError):
             RunConfig({"initial": {"n0": 0.8, "n1": 0.1}}).initial_state()
+
+    @pytest.mark.parametrize("doc, location", [
+        ({"physical": {"i0": True}}, "physical.i0"),
+        ({"physical": {"alpha_deg": False}}, "physical.alpha_deg"),
+        ({"protocol": {"seed": True}}, "protocol.seed"),
+        ({"detection": {"threshold": False}}, "detection.threshold"),
+        ({"rates": {"r1_2pikhz": True, "r2_2pikhz": 1.0}}, "rates.r1_2pikhz"),
+        ({"integrator": {"model": True}}, "integrator.model"),
+    ])
+    def test_bools_rejected(self, doc, location):
+        # a bool is an int in Python, but no key takes one
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(doc)
+        assert exc.value.location == location
+        with pytest.raises(ConfigError):
+            RunConfig().set_path(location, True)
+
+    @pytest.mark.parametrize("value", [0, 0.0, False, "", [], "text", [1], 4.2])
+    def test_section_must_be_a_mapping(self, value):
+        for section in DEFAULTS:
+            with pytest.raises(ConfigError) as exc:
+                RunConfig({section: value})
+            assert exc.value.location == section
+
+    @pytest.mark.parametrize("text", ["0", "false", "''", "[]", "text", "- physical"])
+    def test_document_must_be_a_mapping(self, text):
+        with pytest.raises(ConfigError):
+            RunConfig.parse(text)
+
+    def test_null_keeps_defaults(self):
+        assert RunConfig.parse("").data == DEFAULTS
+        assert RunConfig.parse("physical:\nprotocol: null\n").data == DEFAULTS
+        assert RunConfig({"rates": {"r1_2pikhz": None}}).data == DEFAULTS
+
+    # config_hash of documents as earlier versions printed it: a value is
+    # stored as given, so dt_us: 100 and dt_us: 100.0 are different documents
+    @pytest.mark.parametrize("doc, digest", [
+        ({}, "845d18bcb4d92bc3"),
+        ({"protocol": {"dt_us": 100, "n_max": 300}}, "8d3cfcdff700a8d0"),
+        ({"protocol": {"dt_us": 100.0, "n_max": 300}}, "845d18bcb4d92bc3"),
+        ({"physical": {"i0": 3e-4, "alpha_deg": 60, "b_field_2pikhz": 300},
+          "initial": {"n0": 1, "n1": 0}}, "93212f410dede7c3"),
+        ({"rates": {"r1_2pikhz": 2, "r2_2pikhz": 4.0},
+          "integrator": {"model": "adiabatic"}}, "2705bb2915b2784d"),
+        ({"detection": {"mode": "thresholded-counts", "threshold": 12,
+                        "bright_rate_hz": 3500},
+          "protocol": {"seed": 2**63, "prep_error": 0}}, "dd52a857788171e2"),
+        ({"physical": None, "rates": {"r1_2pikhz": None}}, "845d18bcb4d92bc3"),
+        ("protocol:\n  dt_us: 100\n  probe_ms: 5\n"
+         "physical:\n  i0: 3e-4\n  omega_mw_2pikhz: 4.2\n", "37a841941d5896d4"),
+    ])
+    def test_hash_pinned(self, doc, digest):
+        cfg = RunConfig.parse(doc) if isinstance(doc, str) else RunConfig(doc)
+        assert cfg.hash() == digest
 
     def test_set_path_rejects_unknown(self):
         cfg = RunConfig()
@@ -272,6 +326,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err
 
+    @pytest.mark.parametrize("doc, location", [
+        ("physical:\n  i0: true\n", "physical.i0"),
+        ("protocol:\n  seed: true\n", "protocol.seed"),
+        ("physical: 0\n", "physical"),
+        ("protocol: false\n", "protocol"),
+    ], ids=["number-bool", "int-bool", "section-zero", "section-false"])
+    def test_bool_or_scalar_section_exit_2(self, tmp_path, capsys, doc, location):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(doc)
+        assert main(["rates", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.endswith(f"(at {location})\n")
+
     def test_infinite_design_caps_accepted(self, capsys):
         # --i0-max inf means no cap; an infinite field window is harmless
         # while the field is held fixed
@@ -370,7 +437,8 @@ class TestExitCodes:
         # digit; neither may be written as a curve
         assert main([*argv, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
-        assert "numerical failure" in err and "Traceback" not in err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert re.search("beyond the float range|lost accuracy", err)  # not an errno
         assert list(tmp_path.iterdir()) == []
 
 
@@ -578,6 +646,12 @@ _FLAG_VALUES = {"i0": "1e-4", "alpha_deg": "30", "b_field_2pikhz": "100",
                 "nmax": "7", "ntraj": "3", "seed": "9"}
 
 
+def _flag_type(attr):
+    """The type an override flag parses to: that of its key's default."""
+    section, key = _OVERRIDES[attr].split(".")
+    return type(DEFAULTS[section][key])
+
+
 class TestOverrideFlags:
     @staticmethod
     def _hash(capsys, argv):
@@ -586,7 +660,7 @@ class TestOverrideFlags:
 
     @pytest.mark.parametrize("attr", list(_OVERRIDES))
     def test_flag_sets_its_config_key(self, tmp_path, capsys, attr):
-        path, cast = _OVERRIDES[attr]
+        path, cast = _OVERRIDES[attr], _flag_type(attr)
         section, key = path.split(".")
         base = {"protocol": {"n_max": 5}}
         keyed = {**base, section: {**base.get(section, {}), key: cast(_FLAG_VALUES[attr])}}
@@ -608,7 +682,7 @@ class TestOverrideFlags:
 # Override flags as the shell passes them: floats of any kind, NaN, +-inf,
 # subnormals and the ends of the double range included, and ints on both
 # sides of their valid ranges.
-_FLOAT_FLAGS = [attr for attr, (_, cast) in _OVERRIDES.items() if cast is float]
+_FLOAT_FLAGS = [attr for attr in _OVERRIDES if _flag_type(attr) is float]
 _ANY_FLOAT = st.floats() | st.sampled_from([1e308, -1e308, 5e-324, -5e-324])
 _FLAG_STRATEGIES = {**{attr: _ANY_FLOAT for attr in _FLOAT_FLAGS},
                     "nmax": st.integers(-3, 40), "ntraj": st.integers(-3, 20)}
@@ -625,7 +699,7 @@ def _fuzzed_argv(draw):
     argv = [command, *(f"--{attr.replace('_', '-')}={value!r}"
                        for attr, value in flags.items())]
     if command == "sweep":
-        path = _OVERRIDES[draw(st.sampled_from(_FLOAT_FLAGS))][0]
+        path = _OVERRIDES[draw(st.sampled_from(_FLOAT_FLAGS))]
         values = draw(st.lists(_ANY_FLOAT, max_size=2))
         argv.append(f"--axis={path}=" + ",".join(map(repr, values)))
     return argv
@@ -672,3 +746,60 @@ class TestFlagFuzz:
     def test_defined_exit_and_finite_output(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             _check_fuzzed_run(argv, os.path.join(tmp, "out"))
+
+
+# YAML run documents: sections and keys from DEFAULTS plus unknown ones. Most
+# values are of their key's kind, the others of any kind. n_max and
+# n_trajectories stay small, because allocation grows with them.
+_ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | _ANY_FLOAT | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+_NUMBERS = st.floats(0, 1) | st.floats(-1e4, 1e4) | _ANY_FLOAT | st.integers()
+_KIND_VALUES = {
+    str: st.sampled_from(["full", "adiabatic", "ideal", "thresholded-counts"]),
+    int: st.integers(),
+    float: _NUMBERS,
+    type(None): _NUMBERS | st.none(),
+}
+_SIZES = {"n_max", "n_trajectories"}
+
+
+@st.composite
+def _fuzzed_document(draw):
+    def rarely():
+        return draw(st.integers(0, 9)) == 0
+
+    if rarely():  # not a mapping
+        return draw(_ANY_VALUE)
+    doc = {}
+    for section in draw(st.lists(st.sampled_from(list(DEFAULTS)), unique=True)):
+        if rarely():  # null, a scalar, a list or any mapping
+            doc[section] = draw(_ANY_VALUE)
+            continue
+        doc[section] = {}
+        for key in draw(st.lists(st.sampled_from(list(DEFAULTS[section])), unique=True)):
+            if key in _SIZES:
+                kind, other = st.integers(-3, 40), _ANY_VALUE.filter(
+                    lambda v: not isinstance(v, int) or isinstance(v, bool))
+            else:
+                kind, other = _KIND_VALUES[type(DEFAULTS[section][key])], _ANY_VALUE
+            doc[section][key] = draw(other if rarely() else kind)
+        if rarely():
+            doc[section]["bogus"] = draw(_ANY_VALUE)
+    if rarely():
+        doc["bogus"] = draw(_ANY_VALUE)
+    return doc
+
+
+class TestDocumentFuzz:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(doc=_fuzzed_document())
+    def test_defined_exit_and_finite_output(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump(doc, fh, sort_keys=False)
+            for command in ("rates", "simulate", "trajectories"):
+                _check_fuzzed_run([command, f"--config={path}"], os.path.join(tmp, "out"))

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -135,6 +136,20 @@ class TestDetection:
                 got = det.on_probability(1.0, mu)  # counting time mu at rate 1
                 worst = max(worst, abs(got - poisson.sf(threshold, mu)))
         assert worst < 1e-12
+
+    @pytest.mark.parametrize("mu", [0.5, 20.0, 100.0, 1e4, 1e13])
+    def test_poisson_tail_cost_independent_of_threshold(self, mu):
+        # summing P(X <= threshold) term by term took about 0.7 us per unit
+        # of threshold, and 1 - P(X <= threshold) bottomed out at 2.2e-16
+        from scipy.stats import poisson
+
+        for threshold in (10**5, 10**12):
+            det = DetectionModel(mode="thresholded-counts", bright_rate=0.0,
+                                 dark_rate=1.0, threshold=threshold)
+            start = time.perf_counter()
+            got = det.on_probability(1.0, mu)
+            assert time.perf_counter() - start < 0.1
+            assert abs(got - poisson.sf(threshold, mu)) <= 1e-12
 
     def test_invalid_model(self):
         with pytest.raises(ValueError):
