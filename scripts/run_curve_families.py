@@ -18,6 +18,7 @@ from iondeco import (
     SystemState,
     integrate,
 )
+from iondeco.protocol import format_table
 
 GAMMA3 = 18e3 * TWO_PI_KHZ
 GAMMA_L = 9e3  # 2pi kHz
@@ -39,11 +40,8 @@ def family(params, rate_pairs, t):
 
 
 def write_family(path, labels, t, theta, block):
-    with open(path, "w") as fh:
-        fh.write("theta_rad,tau_s," + ",".join(labels) + "\n")
-        for i in range(len(t)):
-            row = ",".join(f"{v:.8g}" for v in block[i])
-            fh.write(f"{theta[i]:.8g},{t[i]:.8g},{row}\n")
+    path.write_text(format_table([], "theta_rad,tau_s," + ",".join(labels),
+                                 np.column_stack([theta, t, block])))
 
 
 def main():

@@ -16,8 +16,8 @@ from iondeco import (
     PhysicalParams,
     ProtocolConfig,
     accumulate,
-    effective_from_fit,
     fit_nutation,
+    invert_saturation,
     run_trajectories,
     scattering_rates,
 )
@@ -38,14 +38,13 @@ def main():
     curve = accumulate(run_trajectories(params, rates, cfg, model="adiabatic"))
     sigma = np.maximum((curve.ci_high - curve.ci_low) / (2 * 1.96), 1e-3)
     fit = fit_nutation(curve.tau_s, curve.p1_mean, sigma=sigma)
-    eff = effective_from_fit(fit, params.omega_mw)
 
     print(f"{n_traj} trajectories, seed {seed}:")
     print(f"  fitted Omega   = {fit.omega_fit / TWO_PI_KHZ:.4f} 2pi kHz "
           f"(true {params.omega_mw / TWO_PI_KHZ})")
     print(f"  fitted lambda  = {fit.lambda_fit / TWO_PI_KHZ:.4f} 2pi kHz")
     print(f"  fitted plateau = {fit.p_inf_fit:.4f}")
-    ratio = params.omega_mw**2 / (eff.Gamma_eff * eff.gamma_eff)
+    ratio = invert_saturation(fit.p_inf_fit)
     print(f"  recovered r2/r1 = {ratio:.3f} "
           f"(rel err {abs(ratio / (rates.r2 / rates.r1) - 1):.1%})")
 

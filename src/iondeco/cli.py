@@ -3,8 +3,8 @@
 Subcommands: rates | simulate | trajectories | fit | design | sweep.
 All frequency I/O uses the 2*pi x kHz convention; conversion to rad/s
 happens once, in the configuration layer.  Every command is deterministic
-given (config, seed) and emits a provenance header (tool version, config
-hash, seed).
+given (config, seed); each output's provenance (tool version, and config
+hash, seed or input path where they apply) is listed in the README.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 infeasible
 design.
@@ -17,17 +17,16 @@ import functools
 import json
 import math
 import sys
-import warnings
 
 from . import __version__
 from .config import DEFAULTS, RunConfig
 from .design import DesignTarget, design_decoherence, verify_design
 from .dynamics import integrate
 from .errors import ConfigError, DegenerateRates, InfeasibleDesign, IondecoError, OutOfRange
-from .fitting import effective_from_fit, fit_nutation
+from .fitting import effective_from_fit, fit_nutation, invert_saturation
 from .model import TWO_PI_KHZ, effective_rates
-from .protocol import (accumulate, format_table, run_trajectories, write_curve_csv,
-                       write_trajectories)
+from .protocol import (accumulate, format_header, format_table, read_curve_file,
+                       run_trajectories, write_curve_csv, write_trajectories)
 
 # override flag -> the config key it sets, whose default types the flag
 _OVERRIDES = {
@@ -154,59 +153,12 @@ def cmd_trajectories(args) -> int:
     return 0
 
 
-def read_curve_file(path):
-    """Read a curve CSV (simulate or accumulated format).
-
-    Returns (tau, p1, sigma): sigma is derived from the Wilson bounds of
-    accumulated curves and None for deterministic curves.
-    """
-    import numpy as np
-
-    header, columns = {}, None
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line.startswith("#"):
-                    key, eq, val = line.lstrip("# ").partition("=")
-                    if eq:
-                        header[key.strip()] = val.strip().strip("'\"")
-                elif line:
-                    columns = line.split(",")
-                    break
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an empty body is reported below
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        dt_us = float(header["dt_us"]) if "dt_us" in header else None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if columns is None or not len(table):
-        raise ConfigError(f"no data rows in {path}")
-    if table.shape[1] != len(columns) or not np.isfinite(table).all():
-        raise ConfigError(f"{path}: every row must hold {len(columns)} finite values")
-    data = dict(zip(columns, table.T))
-    if "tau_s" in data:
-        tau = data["tau_s"]
-    elif "N" in data and dt_us is not None:
-        tau = data["N"] * dt_us * 1e-6
-    else:
-        raise ConfigError(f"{path}: no time axis (need tau_s column or dt_us header)")
-    if "p1" in data:
-        return tau, data["p1"], None
-    if "p1_mean" in data:
-        sigma = None
-        if "ci_low" in data and "ci_high" in data:
-            sigma = np.maximum((data["ci_high"] - data["ci_low"]) / (2 * 1.96), 1e-3)
-        return tau, data["p1_mean"], sigma
-    raise ConfigError(f"{path}: no P1 column found")
-
-
 def cmd_fit(args) -> int:
     omega_in = args.omega_2pikhz
     if omega_in is not None and not 0 < omega_in < math.inf:
         raise ConfigError(f"--omega-2pikhz must be positive and finite, got {omega_in!r}")
-    tau, p1, sigma = read_curve_file(args.curve)
     try:
+        tau, p1, sigma = read_curve_file(args.curve)
         fit = fit_nutation(tau, p1, sigma=sigma)
     except ValueError as exc:
         raise ConfigError(f"{args.curve}: {exc}") from exc
@@ -225,13 +177,10 @@ def cmd_fit(args) -> int:
     omega_mw = (fit.omega_fit / TWO_PI_KHZ if omega_in is None else omega_in) * TWO_PI_KHZ
     try:
         eff = effective_from_fit(fit, omega_mw)
-        ratio = None
-        if eff.Gamma_eff is not None:
-            ratio = omega_mw**2 / (eff.Gamma_eff * eff.gamma_eff)
         doc["derived"] = {
             "gamma": eff.gamma_eff / TWO_PI_KHZ,
             "Gamma": None if eff.Gamma_eff is None else eff.Gamma_eff / TWO_PI_KHZ,
-            "r2_over_r1": ratio,
+            "r2_over_r1": None if eff.Gamma_eff is None else invert_saturation(fit.p_inf_fit),
         }
     except (OutOfRange, DegenerateRates) as exc:
         doc["derived"] = {"error": str(exc)}
@@ -305,7 +254,7 @@ def cmd_sweep(args) -> int:
     text = format_table(header, "axis_value," + _SERIES_COLUMNS, np.concatenate(tables))
     if not values:
         echo = ["empty axis: config echo follows", *cfg.serialize().splitlines()]
-        text += "".join(f"# {line}\n" for line in echo)
+        text += format_header(echo)
     _emit(text, args.out)
     return 0
 

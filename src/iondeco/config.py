@@ -207,6 +207,9 @@ class RunConfig:
                 dark_rate=d["dark_rate_hz"],
                 threshold=d["threshold"],
             )
+        except ValueError as exc:
+            raise ConfigError(str(exc), location="detection") from exc
+        try:
             return ProtocolConfig(
                 dt_unit=p["dt_us"] * 1e-6,
                 n_max=p["n_max"],

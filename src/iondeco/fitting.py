@@ -257,7 +257,10 @@ def effective_from_fit(fit: NutationFit, omega_mw: float) -> EffectiveRates:
     ratio = invert_saturation(fit.p_inf_fit)
     gamma = fit.lambda_fit
     r2 = gamma * ratio
-    Gamma = omega_mw**2 / r2 if r2 > 0 else None
+    try:
+        Gamma = omega_mw**2 / r2 if r2 > 0 else None
+    except OverflowError:
+        Gamma = math.inf
     if Gamma == math.inf:
         raise OutOfRange("Gamma = Omega^2 / r2 beyond the float range")
     return EffectiveRates(gamma_eff=gamma, Gamma_eff=Gamma, p1_inf=fit.p_inf_fit)

@@ -21,6 +21,7 @@ trajectory's row depends only on (seed, k, n_max) and replays bit-exactly.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass, replace
 
 from .dynamics import SystemState, integrate
@@ -49,8 +50,6 @@ def _poisson_sf(threshold: int, mu: float) -> float:
     below 2**-60 of the sum.  So the cost does not grow with the
     threshold; it grows as sqrt(mu) only for a threshold near mu.
     """
-    if threshold < 0:
-        return 1.0
     if mu == 0:
         return 0.0
     upper = threshold >= mu
@@ -91,6 +90,8 @@ class DetectionModel:
             raise ValueError("detection error probabilities must lie in [0, 1/2)")
         if not (0 <= self.bright_rate < math.inf and 0 <= self.dark_rate < math.inf):
             raise ValueError("count rates must be finite and nonnegative")
+        if not 0 <= self.threshold < 2**53:  # larger counts are not exact floats
+            raise ValueError("detection threshold must lie in [0, 2**53)")
 
     def on_probability(self, p1, probe_duration: float):
         """P(on) = p1 on_1 + (1 - p1) on_0 for F=1 population p1 (scalar or
@@ -226,23 +227,35 @@ def accumulate(batch: TrajectoryBatch, z: float = 1.96) -> AccumulatedCurve:
 # ---------------------------------------------------------------------------
 # serialization
 
+def format_header(lines: list[str]) -> str:
+    """The header text of every iondeco text file: one '# <line>' per line."""
+    return "".join(f"# {line}\n" for line in lines)
+
+
+def read_header(fh) -> tuple[dict[str, str], str]:
+    """Read an open text file up to its first line that is neither blank nor
+    '#': returns that line stripped ('' at the end of the file) and the
+    '# key=value' lines as {key: value}, one layer of quotes taken off."""
+    header = {}
+    for line in fh:
+        line = line.strip()
+        if line.startswith("#"):
+            key, eq, val = line.lstrip("# ").partition("=")
+            val = val.strip()
+            if eq:  # unquote when the first and last characters are one quote
+                header[key.strip()] = val[1:-1] if val[:1] == val[-1:] in ("'", '"') else val
+        elif line:
+            return header, line
+    return header, ""
+
+
 def format_table(header: list[str], columns: str, table: np.ndarray) -> str:
     """CSV text of a curve table: a '# <line>' per header line, the column
     line, then one line per row of the 2-D array with every value as %.12g
     (exact for the integer columns N and n_samples, which stay below 1e12)."""
     row = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    head = "".join(f"# {line}\n" for line in header)
+    head = format_header(header)
     return f"{head}{columns}\n" + row * len(table) % tuple(table.ravel().tolist())
-
-
-def _config_header(cfg: ProtocolConfig, omega_mw: float) -> list[str]:
-    items = asdict(cfg)
-    det = items.pop("detection")
-    lines = [f"# omega_mw={omega_mw!r}"]
-    lines += [f"# {k}={v!r}" for k, v in items.items()]
-    lines += [f"# detection.{k}={v!r}" for k, v in det.items()]
-    lines.append(f"# rng_stream={RNG_STREAM}")
-    return lines
 
 
 def write_trajectories(path, batch: TrajectoryBatch) -> None:
@@ -250,12 +263,15 @@ def write_trajectories(path, batch: TrajectoryBatch) -> None:
     per trajectory (trajectory index order)."""
     import numpy as np
 
+    items = asdict(batch.config)
+    items.update((f"detection.{k}", v) for k, v in items.pop("detection").items())
+    header = [f"omega_mw={batch.omega_mw!r}", *(f"{k}={v!r}" for k, v in items.items()),
+              f"rng_stream={RNG_STREAM}"]
     rows = np.full((batch.config.n_trajectories, batch.config.n_max + 1),
                    ord("\n"), dtype=np.uint8)
     rows[:, :-1] = batch.outcomes + ord("0")
-    header = "\n".join(_config_header(batch.config, batch.omega_mw)) + "\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode())
+        fh.write(format_header(header).encode())
         fh.write(rows.tobytes())
 
 
@@ -264,20 +280,12 @@ def read_trajectories(path) -> tuple[dict, np.ndarray]:
     of shape (n_trajectories, n_max))."""
     import numpy as np
 
-    header: dict[str, str] = {}
-    with open(path, "rb") as fh:
-        text = fh.read()
-    start = 0
-    while text.startswith(b"#", start):
-        end = text.index(b"\n", start) + 1
-        key, _, val = text[start:end].decode().lstrip("# ").partition("=")
-        header[key.strip()] = val.strip()
-        start = end
-    body = text[start:]
-    width = body.index(b"\n") + 1
-    rows = np.frombuffer(body, dtype=np.uint8).reshape(-1, width)
+    with open(path) as fh:
+        header, first = read_header(fh)
+        body = f"{first}\n{fh.read()}".encode()
+    rows = np.frombuffer(body, dtype=np.uint8).reshape(-1, len(first) + 1)
     bits = rows[:, :-1] - ord("0")
-    if np.any(rows[:, -1] != ord("\n")) or np.any(bits > 1):
+    if not first or np.any(rows[:, -1] != ord("\n")) or np.any(bits > 1):
         raise ValueError(f"{path}: outcome lines must hold only 0 and 1")
     return header, bits
 
@@ -291,3 +299,38 @@ def write_curve_csv(path, curve: AccumulatedCurve, provenance: list[str] | None 
     with open(path, "w") as fh:
         fh.write(format_table(provenance or [],
                               "N,theta_rad,p1_mean,ci_low,ci_high,n_samples", table))
+
+
+def read_curve_file(path):
+    """Read a curve CSV (simulate or accumulated format); ValueError if malformed.
+
+    Returns (tau, p1, sigma): sigma is derived from the Wilson bounds of
+    accumulated curves and None for deterministic curves.
+    """
+    import numpy as np
+
+    with open(path) as fh:
+        header, columns = read_header(fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty body is reported below
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not len(table):
+        raise ValueError("no data rows")
+    columns = columns.split(",")
+    if table.shape[1] != len(columns) or not np.isfinite(table).all():
+        raise ValueError(f"every row must hold {len(columns)} finite values")
+    data = dict(zip(columns, table.T))
+    if "tau_s" in data:
+        tau = data["tau_s"]
+    elif "N" in data and "dt_us" in header:
+        tau = data["N"] * float(header["dt_us"]) * 1e-6
+    else:
+        raise ValueError("no time axis (need tau_s column or dt_us header)")
+    if "p1" in data:
+        return tau, data["p1"], None
+    if "p1_mean" in data:
+        sigma = None
+        if "ci_low" in data and "ci_high" in data:
+            sigma = np.maximum((data["ci_high"] - data["ci_low"]) / (2 * 1.96), 1e-3)
+        return tau, data["p1_mean"], sigma
+    raise ValueError("no P1 column found")

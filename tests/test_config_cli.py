@@ -18,6 +18,7 @@ from iondeco import __version__
 from iondeco.cli import _OVERRIDES, _simulate_series, main, read_curve_file
 from iondeco.config import DEFAULTS, RunConfig
 from iondeco.errors import ConfigError
+from iondeco.fitting import invert_saturation
 from iondeco.model import TWO_PI_KHZ
 from iondeco.protocol import (AccumulatedCurve, format_table, read_trajectories,
                               write_curve_csv)
@@ -236,6 +237,33 @@ class TestCliFit:
         curve.write_text("\n".join(lines) + "\n")
         assert main(["fit", str(curve)]) == 3
 
+    @staticmethod
+    def _plateau_curve(tmp_path):
+        # plateau 0.8, envelope decay 1e3 /s, Omega = 4.2 2pi kHz
+        tau = np.arange(1, 301) * 1e-5
+        p1 = 0.8 * (1 - np.exp(-1e3 * tau) * np.cos(4.2 * TWO_PI_KHZ * tau))
+        curve = tmp_path / "plateau.csv"
+        curve.write_text("tau_s,p1\n" + "".join(f"{t!r},{p!r}\n" for t, p in zip(tau.tolist(), p1.tolist())))
+        return str(curve)
+
+    def test_fit_omega_overflow_reports_derived_error(self, tmp_path, capsys):
+        # Omega**2 beyond the float range: the fit stands, Gamma is reported
+        # as an error, as for any out-of-range derivation
+        assert main(["fit", self._plateau_curve(tmp_path), "--omega-2pikhz", "1e300"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "beyond the float range" in doc["derived"]["error"]
+        assert doc["p_inf"] == pytest.approx(0.8, abs=1e-6)
+
+    def test_r2_over_r1_from_plateau(self, tmp_path, capsys):
+        # at 2e150, Gamma * gamma overflows; the ratio still comes from p_inf
+        curve, ratios = self._plateau_curve(tmp_path), []
+        for omega in ("4.2", "2e150"):
+            assert main(["fit", curve, "--omega-2pikhz", omega]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["derived"]["r2_over_r1"] == invert_saturation(doc["p_inf"])
+            ratios.append(doc["derived"]["r2_over_r1"])
+        assert ratios[0] == ratios[1] == pytest.approx(2 / 3, rel=1e-5)
+
 
 class TestCliDesign:
     def test_feasible(self, capsys):
@@ -338,6 +366,21 @@ class TestExitCodes:
         assert main(["rates", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.endswith(f"(at {location})\n")
+
+    @pytest.mark.parametrize("doc", [
+        "detection: {eps_on: 0.7}\n",
+        f"detection: {{mode: thresholded-counts, threshold: {10**400}}}\n",
+        f"detection: {{mode: thresholded-counts, threshold: {10**306}}}\n",
+        "detection: {mode: thresholded-counts, threshold: -5}\n",
+    ], ids=["eps-on", "threshold-beyond-float", "threshold-huge", "threshold-negative"])
+    def test_detection_error_located(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(doc)
+        rc = main(["trajectories", "--config", str(cfg), "--nmax", "3", "--ntraj", "2",
+                   "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error") and err.endswith("(at detection)\n")
 
     def test_infinite_design_caps_accepted(self, capsys):
         # --i0-max inf means no cap; an infinite field window is harmless

@@ -1,6 +1,7 @@
+import io
 import math
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from iondeco.protocol import (
     ProtocolConfig,
     TrajectoryBatch,
     accumulate,
+    read_curve_file,
+    read_header,
     read_trajectories,
     replay,
     run_trajectories,
@@ -229,6 +232,41 @@ class TestSerialization:
         text = path.read_text()
         assert text.splitlines()[1] == "N,theta_rad,p1_mean,ci_low,ci_high,n_samples"
         assert len(text.splitlines()) == 2 + cfg.n_max
+
+    def test_header_values_come_back_unquoted(self, setup, tmp_path):
+        params, rates, cfg = setup
+        det = DetectionModel(mode="thresholded-counts", threshold=12)
+        batch = run_trajectories(params, rates, replace(cfg, detection=det, prep_error=0.1))
+        path = tmp_path / "trajs.txt"
+        write_trajectories(path, batch)
+        header, _ = read_trajectories(path)
+        items = asdict(batch.config)
+        det_items = items.pop("detection")
+        written = {"omega_mw": batch.omega_mw, **items,
+                   **{f"detection.{k}": v for k, v in det_items.items()}}
+        # each value was written as its repr; a string comes back without quotes
+        expected = {k: v if isinstance(v, str) else repr(v) for k, v in written.items()}
+        assert header == {**expected, "rng_stream": "philox-v1"}
+        assert header["detection.mode"] == "thresholded-counts"
+
+    def test_read_header_takes_off_one_layer_of_quotes(self):
+        text = "# tool 1\n\n# a='x'\n#b = \"'y'\"\n# c='z\"\n# d=\nN,p\n1,2\n"
+        fh = io.StringIO(text)
+        assert read_header(fh) == ({"a": "x", "b": "'y'", "c": "'z\"", "d": ""}, "N,p")
+        assert fh.read() == "1,2\n"
+
+    def test_accumulated_curve_reads_back(self, setup, tmp_path):
+        # the CLI writes dt_us and runs at dt_unit = dt_us * 1e-6
+        params, rates, cfg = setup
+        dt_us = 5.0
+        curve = accumulate(run_trajectories(params, rates, replace(cfg, dt_unit=dt_us * 1e-6),
+                                            model="adiabatic"))
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, curve, provenance=["iondeco test", f"dt_us={dt_us!r}"])
+        tau, p1, sigma = read_curve_file(path)
+        np.testing.assert_allclose(tau, curve.tau_s, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(p1, curve.p1_mean, rtol=1e-11, atol=0)
+        assert sigma.shape == p1.shape and np.all(sigma >= 1e-3)
 
 
 def test_wilson_interval_basics():

@@ -27,3 +27,18 @@ def test_run_protocol_demo(tmp_path):
     proc = _run_script("run_protocol_demo.py", "200", "3", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "recovered r2/r1" in proc.stdout
+
+
+def test_cli_outputs_repeat_byte_identical(tmp_path):
+    trees = []
+    for run in ("a", "b"):
+        proc = _run_script("cli_outputs.py", run, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        root = tmp_path / run
+        trees.append({p.relative_to(root): p.read_bytes()
+                      for p in sorted(root.rglob("*")) if p.is_file()})
+    assert trees[0] == trees[1]
+    exits = trees[0][Path("exits.txt")].decode()
+    assert exits.count("\nexit 0\n") == exits.count("$ ") - 2
+    assert "\nexit 2\nconfig error: no_rows.csv: no data rows\n" in exits
+    assert "\nexit 4\n" in exits
