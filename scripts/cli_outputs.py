@@ -2,11 +2,13 @@
 """Run a fixed list of iondeco commands and keep everything they write.
 
 Every subcommand is covered: rates, simulate (to a file and to stdout),
-sweep (two values and an empty axis), trajectories (ideal detection, and
-thresholded counts with preparation errors), fit (a deterministic curve
-with and without --omega-2pikhz, an accumulated curve, an Omega whose
-square overflows, a huge Omega and a curve with no rows), design (fixed
-field, optimized field, infeasible), plus scripts/run_curve_families.py.
+sweep (two values and an empty axis), trajectories (ideal detection;
+thresholded counts with preparation errors; and prep_error 1, every
+preparation faulty, with ideal detection that errs both ways), fit (a
+deterministic curve with and without --omega-2pikhz, an accumulated
+curve, an Omega whose square overflows, a huge Omega and a curve with no
+rows), design (fixed field, optimized field, infeasible), plus
+scripts/run_curve_families.py.
 
 The commands run from OUTDIR with relative paths, so two runs, or runs
 against two versions of the package (set PYTHONPATH to its src/), can be
@@ -38,6 +40,12 @@ protocol: {prep_error: 0.05}
 detection: {mode: thresholded-counts, threshold: 12}
 """
 
+FAULTY_YAML = """\
+integrator: {model: adiabatic}
+protocol: {prep_error: 1}
+detection: {eps_on: 0.03, eps_off: 0.05}
+"""
+
 DESIGN = ["design", "--omega-2pikhz", "10", "--target-gamma-2pikhz", "0.1",
           "--target-big-gamma-2pikhz", "500"]
 
@@ -53,6 +61,8 @@ COMMANDS = [
                             "--seed", "3", "--out", "ideal"]),
     ("trajectories-counts", ["trajectories", "--config", "counts.yaml", "--nmax", "40",
                              "--ntraj", "8", "--seed", "5", "--out", "counts"]),
+    ("trajectories-faulty", ["trajectories", "--config", "faulty.yaml", "--nmax", "40",
+                             "--ntraj", "8", "--seed", "6", "--out", "faulty"]),
     ("fit", ["fit", "curve.csv"]),
     ("fit-omega", ["fit", "curve.csv", "--omega-2pikhz", "4.2"]),
     ("fit-accumulated", ["fit", "ideal.curve.csv", "--omega-2pikhz", "4.2"]),
@@ -71,6 +81,7 @@ def main():
     os.chdir(outdir)
     Path("run.yaml").write_text(RUN_YAML)
     Path("counts.yaml").write_text(COUNTS_YAML)
+    Path("faulty.yaml").write_text(FAULTY_YAML)
     Path("no_rows.csv").write_text("# dt_us=100.0\nN,p1_mean\n")
     log = []
     for i, (name, argv) in enumerate(COMMANDS):

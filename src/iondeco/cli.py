@@ -201,10 +201,12 @@ def cmd_design(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    provenance = {"tool": f"iondeco {__version__}", "config_hash": cfg.hash()}
     try:
         knobs = design_decoherence(target, params)
     except InfeasibleDesign as exc:
         doc = {
+            "provenance": provenance,
             "infeasible": True,
             "binding_constraint": exc.constraint,
             "message": str(exc),
@@ -213,10 +215,7 @@ def cmd_design(args) -> int:
         return 4
     report = verify_design(target, params, knobs)
     doc = {
-        "provenance": {
-            "tool": f"iondeco {__version__}",
-            "config_hash": cfg.hash(),
-        },
+        "provenance": provenance,
         "knobs": {
             "i0": knobs[0],
             "alpha_deg": math.degrees(knobs[1]),
@@ -317,9 +316,6 @@ def main(argv=None) -> int:
         loc = f" (at {exc.location})" if getattr(exc, "location", None) else ""
         print(f"config error: {exc}{loc}", file=sys.stderr)
         return 2
-    except InfeasibleDesign as exc:
-        print(f"infeasible design ({exc.constraint}): {exc}", file=sys.stderr)
-        return 4
     except (IondecoError, OverflowError) as exc:  # OverflowError: beyond the float range
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

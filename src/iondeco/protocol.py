@@ -9,10 +9,13 @@ many trajectories estimates P1 as a function of pulse area.
 No outcome records the preparation fault, the F=1 projection or the photon
 count, so the bit at drive length N is one Bernoulli draw with probability
 
-    q_N = (1 - prep_error) on(P1_0(N)) + prep_error on(P1_1(N)),
+    q_N = on(P1(N)),
 
-where P1_0 / P1_1 are the deterministic curves after a good / faulty
-preparation and on(p) is the detection model's on-probability.  All bits
+where P1 is the deterministic curve propagated from the prepared mixture
+(n0, n1) = (1 - prep_error, prep_error) and on(p) is the detection model's
+on-probability.  It equals (1 - prep_error) on(P1_0(N)) + prep_error
+on(P1_1(N)) of the curves P1_0 / P1_1 after a good / faulty preparation,
+because the evolution is linear in the state and on(p) is affine.  All bits
 of a run come from one counter-based Philox block keyed by the seed: bit
 (k, N) is uniform number k * n_max + N - 1 of that stream, so a
 trajectory's row depends only on (seed, k, n_max) and replays bit-exactly.
@@ -132,17 +135,14 @@ class TrajectoryBatch:
 
     config: ProtocolConfig
     omega_mw: float
-    p1_curve: np.ndarray      # deterministic P1 at N*dt for prep in 0
-    p1_curve_alt: np.ndarray  # same for (faulty) prep in 1
-    outcomes: np.ndarray      # uint8, shape (n_trajectories, n_max)
+    p1_curve: np.ndarray  # deterministic P1 at N*dt of the prepared mixture
+    outcomes: np.ndarray  # uint8, shape (n_trajectories, n_max)
 
 
-def _sample_outcomes(curve0, curve1, config: ProtocolConfig) -> np.ndarray:
+def _sample_outcomes(curve, config: ProtocolConfig) -> np.ndarray:
     import numpy as np
 
-    on, eps = config.detection.on_probability, config.prep_error
-    q = ((1 - eps) * on(curve0, config.probe_duration)
-         + eps * on(curve1, config.probe_duration))
+    q = config.detection.on_probability(curve, config.probe_duration)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     uniforms = rng.random((config.n_trajectories, config.n_max))
     return (uniforms < q).astype(np.uint8)
@@ -156,24 +156,21 @@ def run_trajectories(
 ) -> TrajectoryBatch:
     """Simulate every trajectory of a run (N = 1 .. n_max each).
 
-    Restarting from a fixed state before each drive is equivalent to
-    sampling one deterministic solution, so a single evolution per
-    initial state covers every N.
+    Restarting from the same prepared mixture before each drive is
+    equivalent to sampling one deterministic solution, so a single
+    evolution covers every N.
     """
     import numpy as np
 
+    eps = config.prep_error
     t_grid = np.arange(config.n_max + 1) * config.dt_unit
-    curve0 = integrate(SystemState(n0=1.0), params, rates, t_grid, model).p1[1:]
-    curve1 = curve0
-    if config.prep_error > 0:
-        curve1 = integrate(SystemState(n0=0.0, n1=1.0), params, rates, t_grid, model).p1[1:]
-    outcomes = _sample_outcomes(curve0, curve1, config)
-    return TrajectoryBatch(config, params.omega_mw, curve0, curve1, outcomes)
+    curve = integrate(SystemState(n0=1 - eps, n1=eps), params, rates, t_grid, model).p1[1:]
+    return TrajectoryBatch(config, params.omega_mw, curve, _sample_outcomes(curve, config))
 
 
 def replay(batch: TrajectoryBatch) -> TrajectoryBatch:
-    """Regenerate a batch from its stored config and curves; bit-identical."""
-    outcomes = _sample_outcomes(batch.p1_curve, batch.p1_curve_alt, batch.config)
+    """Regenerate a batch from its stored config and curve; bit-identical."""
+    outcomes = _sample_outcomes(batch.p1_curve, batch.config)
     return replace(batch, outcomes=outcomes)
 
 

@@ -291,6 +291,16 @@ class TestCliDesign:
         assert doc["infeasible"]
         assert doc["binding_constraint"] == "i0_bounds"
 
+    def test_infeasible_carries_provenance(self, capsys):
+        argv = ["design", "--omega-2pikhz", "10", "--target-gamma-2pikhz", "0.1",
+                "--target-big-gamma-2pikhz", "500"]
+        assert main(argv) == 0
+        feasible = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--i0-max", "1e-9"]) == 4
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["provenance"] == feasible["provenance"]
+
 
 class TestCliSweep:
     def test_plateau_family(self, tmp_path):
@@ -418,9 +428,13 @@ class TestExitCodes:
           "--optimize-b", "--b-max-2pikhz", "inf"], ""),
         (["design", "--target-gamma-2pikhz", "0.1", "--target-big-gamma-2pikhz", "500",
           "--i0-max", "nan"], ""),
+        (["simulate"], "integrator:\n  model: nope\n"),
+        (["trajectories"], "protocol:\n  prep_error: 1.5\n"),
+        (["trajectories"], "protocol:\n  prep_error: -0.1\n"),
     ], ids=["i0-nan", "omega-inf", "dt-nan", "r1-negative", "r1-nan", "n0-nan",
             "i0-null", "probe-nan", "bright-negative", "target-nan", "axis-text",
-            "seed-negative", "b-max-nan", "b-max-inf", "i0-max-nan"])
+            "seed-negative", "b-max-nan", "b-max-inf", "i0-max-nan", "model-unknown",
+            "prep-error-above-one", "prep-error-negative"])
     def test_invalid_number_exit_2(self, tmp_path, capsys, argv, doc):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(doc)
@@ -444,9 +458,12 @@ class TestExitCodes:
         (["fit", "{curve}", "--omega-2pikhz", "0"], "tau_s,p1\n{good}"),
         (["fit", "{curve}", "--omega-2pikhz", "-4.2"], "tau_s,p1\n{good}"),
         (["fit", "{curve}"], "tau_s,p1\n{reversed}"),
+        (["fit", "{curve}"], "N,p1\n1,0.5\n2,0.6\n"),
+        (["fit", "{curve}"], "tau_s,n0\n1e-4,0.5\n2e-4,0.6\n"),
     ], ids=["text-cell", "short-rows", "nan-cell", "ragged-rows", "no-rows", "dt-text",
             "not-text", "missing-file", "out-dir-missing", "omega-nan", "omega-inf",
-            "omega-zero", "omega-negative", "time-decreasing"])
+            "omega-zero", "omega-negative", "time-decreasing", "no-time-axis",
+            "no-p1-column"])
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, text):
         # {good}: rows (tau_s, p1) of a damped nutation that the fit resolves;
         # {reversed}: the same rows in reverse order

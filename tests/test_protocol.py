@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from iondeco.dynamics import SystemState, integrate
 from iondeco.model import TWO_PI_KHZ, PhysicalParams, ScatteringRates, scattering_rates
 from iondeco.protocol import (
     AccumulatedCurve,
@@ -40,7 +41,7 @@ def synthetic_batch(p1: float, cfg: ProtocolConfig,
     """Batch with a flat deterministic curve, outcomes filled by replay."""
     flat = np.full(cfg.n_max, p1)
     batch = TrajectoryBatch(config=cfg, omega_mw=omega, p1_curve=flat,
-                            p1_curve_alt=flat, outcomes=np.empty((0, 0), np.uint8))
+                            outcomes=np.empty((0, 0), np.uint8))
     return replay(batch)
 
 
@@ -86,6 +87,13 @@ class TestDeterminism:
                      for n in range(1, cfg.n_max + 1)]
                     for k in range(cfg.n_trajectories)]
         np.testing.assert_array_equal(batch.outcomes, expected)
+        # the same layout with preparation errors and thresholded counts:
+        # bit = u < on(P1) of the prepared mixture
+        cfg = replace(cfg, prep_error=0.3,
+                      detection=DetectionModel(mode="thresholded-counts", threshold=12))
+        batch = run_trajectories(params, rates, cfg, model="adiabatic")
+        q = cfg.detection.on_probability(batch.p1_curve, cfg.probe_duration)
+        np.testing.assert_array_equal(batch.outcomes, u.reshape(batch.outcomes.shape) < q)
 
     def test_zero_light_pi_pulse_always_on(self):
         params = PhysicalParams(omega_mw=OMEGA, gamma3=18e3 * TWO_PI_KHZ)
@@ -198,6 +206,42 @@ class TestPrepError:
         hits = run_trajectories(params, rates, cfg).outcomes[:, -1]
         # faulty prep starts in 1; a pi pulse then leaves the ion in 0
         assert np.mean(hits) == pytest.approx(0.7, abs=0.03)
+
+
+DETECTIONS = [DetectionModel(eps_on=0.03, eps_off=0.05),
+              DetectionModel(mode="thresholded-counts", threshold=12)]
+
+
+def pure_curves(params, rates, cfg, model):
+    """P1 after a good and after a faulty preparation, on the run's grid."""
+    t_grid = np.arange(cfg.n_max + 1) * cfg.dt_unit
+    return [integrate(SystemState(n0=n0, n1=1.0 - n0), params, rates, t_grid, model).p1[1:]
+            for n0 in (1.0, 0.0)]
+
+
+class TestPreparedMixture:
+    @pytest.mark.parametrize("eps", [0.02, 0.5, 1.0])
+    @pytest.mark.parametrize("model", ["full", "adiabatic"])
+    @pytest.mark.parametrize("det", DETECTIONS, ids=["ideal", "counts"])
+    def test_q_is_the_mixture_of_the_pure_preparations(self, setup, eps, model, det):
+        # the evolution is linear in the state and on(p) is affine, so one
+        # curve from (1 - eps, eps) gives the two-curve mixture of q
+        params, rates, cfg = setup
+        cfg = replace(cfg, prep_error=eps, detection=det)
+        batch = run_trajectories(params, rates, cfg, model=model)
+        good, faulty = pure_curves(params, rates, cfg, model)
+        on = det.on_probability
+        mixed = (1 - eps) * on(good, cfg.probe_duration) + eps * on(faulty, cfg.probe_duration)
+        np.testing.assert_allclose(on(batch.p1_curve, cfg.probe_duration), mixed,
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("model", ["full", "adiabatic"])
+    def test_pure_preparations_are_exact(self, setup, model):
+        params, rates, cfg = setup
+        good, faulty = pure_curves(params, rates, cfg, model)
+        for eps, expected in ((0.0, good), (1.0, faulty)):
+            batch = run_trajectories(params, rates, replace(cfg, prep_error=eps), model=model)
+            np.testing.assert_array_equal(batch.p1_curve, expected)
 
 
 class TestSerialization:
