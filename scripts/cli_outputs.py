@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Run a fixed list of iondeco commands and keep everything they write.
 
-Every subcommand is covered: rates, simulate (to a file and to stdout),
-sweep (two values and an empty axis), trajectories (ideal detection;
-thresholded counts with preparation errors; and prep_error 1, every
-preparation faulty, with ideal detection that errs both ways), fit (a
-deterministic curve with and without --omega-2pikhz, an accumulated
-curve, an Omega whose square overflows, a huge Omega and a curve with no
-rows), design (fixed field, optimized field, infeasible), plus
-scripts/run_curve_families.py.
+Every subcommand is covered: rates, simulate (to a file, to stdout, and
+with prep_error 1, every preparation faulty), sweep (two values and an
+empty axis), trajectories (ideal detection; thresholded counts with
+preparation errors; and prep_error 1 with ideal detection that errs both
+ways), fit (a deterministic curve with and without --omega-2pikhz, an
+accumulated curve, an Omega whose square overflows, a huge Omega and a
+curve with no rows), design (fixed field, optimized field, infeasible),
+plus scripts/run_curve_families.py.
 
 The commands run from OUTDIR with relative paths, so two runs, or runs
 against two versions of the package (set PYTHONPATH to its src/), can be
@@ -72,6 +72,7 @@ COMMANDS = [
     ("design-fixed-b", [*DESIGN, "--b-field-2pikhz", "5000"]),
     ("design-optimize-b", [*DESIGN, "--optimize-b", "--b-max-2pikhz", "5000"]),
     ("design-infeasible", [*DESIGN, "--i0-max", "1e-9"]),
+    ("simulate-faulty", ["simulate", "--config", "faulty.yaml", "--nmax", "40"]),
 ]
 
 

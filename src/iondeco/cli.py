@@ -21,12 +21,12 @@ import sys
 from . import __version__
 from .config import DEFAULTS, RunConfig
 from .design import DesignTarget, design_decoherence, verify_design
-from .dynamics import integrate
 from .errors import ConfigError, DegenerateRates, InfeasibleDesign, IondecoError, OutOfRange
 from .fitting import effective_from_fit, fit_nutation, invert_saturation
 from .model import TWO_PI_KHZ, effective_rates
-from .protocol import (accumulate, format_header, format_table, read_curve_file,
-                       run_trajectories, write_curve_csv, write_trajectories)
+from .protocol import (accumulate, drive_series, format_header, format_table,
+                       read_curve_file, run_trajectories, write_curve_csv,
+                       write_trajectories)
 
 # override flag -> the config key it sets, whose default types the flag
 _OVERRIDES = {
@@ -52,13 +52,21 @@ def _add_common(parser):
         parser.add_argument("--" + attr.replace("_", "-"), type=type(DEFAULTS[section][key]))
 
 
-def _build_config(args) -> RunConfig:
+def _build(cfg: RunConfig) -> tuple:
+    """(params, rates, protocol, model variant) of `cfg`.  Every command that
+    reads a config builds all four, so each accepts the same documents."""
+    params = cfg.physical_params()
+    return params, cfg.rates(params), cfg.protocol_config(), cfg.model_variant()
+
+
+def _build_config(args) -> tuple[RunConfig, tuple]:
+    """The config of `args` with its flag overrides set, and its `_build`."""
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
     for attr, path in _OVERRIDES.items():
         value = getattr(args, attr)
         if value is not None:
             cfg.set_path(path, value)
-    return cfg
+    return cfg, _build(cfg)
 
 
 def _provenance(cfg: RunConfig) -> list[str]:
@@ -85,9 +93,7 @@ def _json_dump(obj) -> str:
 
 
 def cmd_rates(args) -> int:
-    cfg = _build_config(args)
-    params = cfg.physical_params()
-    rates = cfg.rates(params)
+    cfg, (params, rates, *_) = _build_config(args)
     eff = effective_rates(params, rates)
     doc = {
         "provenance": {
@@ -112,14 +118,8 @@ def cmd_rates(args) -> int:
 
 
 def _simulate_series(cfg: RunConfig):
-    import numpy as np
-
-    params = cfg.physical_params()
-    rates = cfg.rates(params)
-    proto = cfg.protocol_config()
-    t_grid = np.arange(proto.n_max + 1) * proto.dt_unit
-    series = integrate(cfg.initial_state(), params, rates, t_grid, cfg.model_variant())
-    return params, series
+    built = _build(cfg)
+    return built[0], drive_series(*built)
 
 
 def _series_table(params, series) -> np.ndarray:
@@ -131,19 +131,16 @@ def _series_table(params, series) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _build_config(args)
-    params, series = _simulate_series(cfg)
+    cfg, built = _build_config(args)
+    params, series = built[0], drive_series(*built)
     header = _provenance(cfg) + [f"dt_us={cfg.data['protocol']['dt_us']!r}"]
     _emit(format_table(header, _SERIES_COLUMNS, _series_table(params, series)), args.out)
     return 0
 
 
 def cmd_trajectories(args) -> int:
-    cfg = _build_config(args)
-    params = cfg.physical_params()
-    rates = cfg.rates(params)
-    proto = cfg.protocol_config()
-    batch = run_trajectories(params, rates, proto, cfg.model_variant())
+    cfg, built = _build_config(args)
+    batch = run_trajectories(*built)
     curve = accumulate(batch)
     base = args.out or "trajectories"
     write_trajectories(f"{base}.traj.txt", batch)
@@ -189,8 +186,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_design(args) -> int:
-    cfg = _build_config(args)
-    params = cfg.physical_params()
+    cfg, (params, *_) = _build_config(args)
     try:
         target = DesignTarget(
             gamma_target=args.target_gamma_2pikhz * TWO_PI_KHZ,
@@ -236,7 +232,7 @@ def cmd_design(args) -> int:
 def cmd_sweep(args) -> int:
     import numpy as np
 
-    cfg = _build_config(args)
+    cfg, _ = _build_config(args)
     path, _, valspec = args.axis.partition("=")
     try:
         values = sorted(float(v) for v in valspec.split(",") if v.strip())

@@ -15,7 +15,6 @@ import re
 
 import yaml
 
-from .dynamics import SystemState
 from .errors import ConfigError
 from .model import TWO_PI_KHZ, PhysicalParams, ScatteringRates, scattering_rates
 from .protocol import DetectionModel, ProtocolConfig
@@ -54,10 +53,6 @@ DEFAULTS = {
     "rates": {
         "r1_2pikhz": None,
         "r2_2pikhz": None,
-    },
-    "initial": {
-        "n0": 1.0,
-        "n1": 0.0,
     },
     "protocol": {
         "dt_us": 100.0,
@@ -187,13 +182,6 @@ class RunConfig:
             return ScatteringRates(r1=r1, r2=r2, p3_mean=(p2, p1, p2))
         except ValueError as exc:
             raise ConfigError(str(exc), location="rates") from exc
-
-    def initial_state(self) -> SystemState:
-        ini = self.data["initial"]
-        n0, n1 = ini["n0"], ini["n1"]
-        if not (n0 >= 0 and n1 >= 0 and abs(n0 + n1 - 1.0) <= 1e-9):
-            raise ConfigError("initial n0 + n1 must equal 1", location="initial")
-        return SystemState(n0=n0, n1=n1)
 
     def protocol_config(self) -> ProtocolConfig:
         p = self.data["protocol"]

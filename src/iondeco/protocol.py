@@ -27,7 +27,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, replace
 
-from .dynamics import SystemState, integrate
+from .dynamics import SystemState, TimeSeries, integrate
 from .model import PhysicalParams, ScatteringRates
 
 RNG_STREAM = "philox-v1"
@@ -148,6 +148,21 @@ def _sample_outcomes(curve, config: ProtocolConfig) -> np.ndarray:
     return (uniforms < q).astype(np.uint8)
 
 
+def drive_series(
+    params: PhysicalParams,
+    rates: ScatteringRates,
+    config: ProtocolConfig,
+    model: str = "full",
+) -> TimeSeries:
+    """The drive evolved from the prepared mixture (n0, n1) =
+    (1 - prep_error, prep_error), sampled at N * dt_unit for N = 0 .. n_max."""
+    import numpy as np
+
+    eps = config.prep_error
+    t_grid = np.arange(config.n_max + 1) * config.dt_unit
+    return integrate(SystemState(n0=1 - eps, n1=eps), params, rates, t_grid, model)
+
+
 def run_trajectories(
     params: PhysicalParams,
     rates: ScatteringRates,
@@ -160,11 +175,7 @@ def run_trajectories(
     equivalent to sampling one deterministic solution, so a single
     evolution covers every N.
     """
-    import numpy as np
-
-    eps = config.prep_error
-    t_grid = np.arange(config.n_max + 1) * config.dt_unit
-    curve = integrate(SystemState(n0=1 - eps, n1=eps), params, rates, t_grid, model).p1[1:]
+    curve = drive_series(params, rates, config, model).p1[1:]
     return TrajectoryBatch(config, params.omega_mw, curve, _sample_outcomes(curve, config))
 
 

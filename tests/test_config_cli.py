@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,9 @@ from iondeco.errors import ConfigError
 from iondeco.fitting import invert_saturation
 from iondeco.model import TWO_PI_KHZ
 from iondeco.protocol import (AccumulatedCurve, format_table, read_trajectories,
-                              write_curve_csv)
+                              run_trajectories, write_curve_csv)
+
+_DESIGN = ["design", "--target-gamma-2pikhz", "0.1", "--target-big-gamma-2pikhz", "500"]
 
 
 class TestRunConfig:
@@ -75,9 +78,11 @@ class TestRunConfig:
         assert r.r1 == pytest.approx(2.0 * TWO_PI_KHZ)
         assert r.r2 == pytest.approx(4.0 * TWO_PI_KHZ)
 
-    def test_initial_state_must_normalize(self):
-        with pytest.raises(ConfigError):
-            RunConfig({"initial": {"n0": 0.8, "n1": 0.1}}).initial_state()
+    def test_initial_section_rejected(self):
+        # protocol.prep_error is the one prepared state
+        with pytest.raises(ConfigError) as exc:
+            RunConfig({"initial": {"n0": 0.8, "n1": 0.2}})
+        assert exc.value.location == "initial"
 
     @pytest.mark.parametrize("doc, location", [
         ({"physical": {"i0": True}}, "physical.i0"),
@@ -112,22 +117,23 @@ class TestRunConfig:
         assert RunConfig.parse("physical:\nprotocol: null\n").data == DEFAULTS
         assert RunConfig({"rates": {"r1_2pikhz": None}}).data == DEFAULTS
 
-    # config_hash of documents as earlier versions printed it: a value is
-    # stored as given, so dt_us: 100 and dt_us: 100.0 are different documents
+    # config_hash of documents as printed since the schema lost its
+    # `initial` section: a value is stored as given, so dt_us: 100 and
+    # dt_us: 100.0 are different documents
     @pytest.mark.parametrize("doc, digest", [
-        ({}, "845d18bcb4d92bc3"),
-        ({"protocol": {"dt_us": 100, "n_max": 300}}, "8d3cfcdff700a8d0"),
-        ({"protocol": {"dt_us": 100.0, "n_max": 300}}, "845d18bcb4d92bc3"),
-        ({"physical": {"i0": 3e-4, "alpha_deg": 60, "b_field_2pikhz": 300},
-          "initial": {"n0": 1, "n1": 0}}, "93212f410dede7c3"),
+        ({}, "5f2de6c9ace12bf5"),
+        ({"protocol": {"dt_us": 100, "n_max": 300}}, "fa453bd816ff6bc7"),
+        ({"protocol": {"dt_us": 100.0, "n_max": 300}}, "5f2de6c9ace12bf5"),
+        ({"physical": {"i0": 3e-4, "alpha_deg": 60, "b_field_2pikhz": 300}},
+         "4f927ebc9375f4d6"),
         ({"rates": {"r1_2pikhz": 2, "r2_2pikhz": 4.0},
-          "integrator": {"model": "adiabatic"}}, "2705bb2915b2784d"),
+          "integrator": {"model": "adiabatic"}}, "481690a2db1ca876"),
         ({"detection": {"mode": "thresholded-counts", "threshold": 12,
                         "bright_rate_hz": 3500},
-          "protocol": {"seed": 2**63, "prep_error": 0}}, "dd52a857788171e2"),
-        ({"physical": None, "rates": {"r1_2pikhz": None}}, "845d18bcb4d92bc3"),
+          "protocol": {"seed": 2**63, "prep_error": 0}}, "6cf6e44132efec9b"),
+        ({"physical": None, "rates": {"r1_2pikhz": None}}, "5f2de6c9ace12bf5"),
         ("protocol:\n  dt_us: 100\n  probe_ms: 5\n"
-         "physical:\n  i0: 3e-4\n  omega_mw_2pikhz: 4.2\n", "37a841941d5896d4"),
+         "physical:\n  i0: 3e-4\n  omega_mw_2pikhz: 4.2\n", "593df4162d4bc093"),
     ])
     def test_hash_pinned(self, doc, digest):
         cfg = RunConfig.parse(doc) if isinstance(doc, str) else RunConfig(doc)
@@ -210,6 +216,39 @@ class TestCliTrajectories:
         tau, p1, sigma = read_curve_file(tmp_path / "run1.curve.csv")
         assert len(tau) == 40
         assert sigma is not None and np.all(sigma > 0)
+
+
+class TestPreparedState:
+    @pytest.mark.parametrize("model", ["full", "adiabatic"])
+    @pytest.mark.parametrize("eps", [0, 0.3, 1])
+    def test_simulate_starts_from_prep_error(self, tmp_path, model, eps):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"rates: {{r1_2pikhz: 0.2, r2_2pikhz: 0.4}}\n"
+                       f"integrator: {{model: {model}}}\n"
+                       f"protocol: {{n_max: 40, prep_error: {eps}}}\n")
+        out = tmp_path / "curve.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[5:]]
+        run = RunConfig.load(cfg)
+        params, rates, proto = run.physical_params(), run.rates(), run.protocol_config()
+
+        def p1_curve(prep_error):
+            return run_trajectories(params, rates, replace(proto, prep_error=prep_error),
+                                    model).p1_curve
+
+        curve = p1_curve(eps)
+        assert [row[2] for row in rows] == [f"{v:.12g}" for v in curve]
+        mixture = (1 - eps) * p1_curve(0.0) + eps * p1_curve(1.0)
+        assert np.max(np.abs(curve - mixture)) <= 1e-15
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--axis", "physical.i0=1e-4"],
+                                      ["trajectories"]], ids=lambda argv: argv[0])
+    def test_initial_section_exit_2(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("initial:\n  n0: 0.3\n  n1: 0.3\n")
+        assert main([*argv, "--config", str(cfg), "--nmax", "5",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.rstrip().endswith("(at initial)")
 
 
 class TestCliFit:
@@ -431,10 +470,20 @@ class TestExitCodes:
         (["simulate"], "integrator:\n  model: nope\n"),
         (["trajectories"], "protocol:\n  prep_error: 1.5\n"),
         (["trajectories"], "protocol:\n  prep_error: -0.1\n"),
+        # every --config command builds the whole document
+        (["rates"], "integrator:\n  model: nope\n"),
+        (["rates"], "detection:\n  eps_on: 0.7\n"),
+        (["rates"], "protocol:\n  prep_error: 1.5\n"),
+        (_DESIGN, "integrator:\n  model: nope\n"),
+        (_DESIGN, "detection:\n  eps_on: 0.7\n"),
+        (_DESIGN, "rates:\n  r1_2pikhz: 1.0\n"),
+        (["sweep", "--axis", "physical.i0="], "detection:\n  eps_on: 0.7\n"),
     ], ids=["i0-nan", "omega-inf", "dt-nan", "r1-negative", "r1-nan", "n0-nan",
             "i0-null", "probe-nan", "bright-negative", "target-nan", "axis-text",
             "seed-negative", "b-max-nan", "b-max-inf", "i0-max-nan", "model-unknown",
-            "prep-error-above-one", "prep-error-negative"])
+            "prep-error-above-one", "prep-error-negative", "rates-model-unknown",
+            "rates-eps-on", "rates-prep-error", "design-model-unknown", "design-eps-on",
+            "design-rates-half", "sweep-empty-eps-on"])
     def test_invalid_number_exit_2(self, tmp_path, capsys, argv, doc):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(doc)
@@ -625,14 +674,14 @@ class TestColdStart:
         # every function the benchmark's tracer wraps, by the name the CLI
         # (or the module calling it) resolves at call time
         names = {
-            "iondeco.cli": ["main", "integrate", "run_trajectories", "accumulate",
+            "iondeco.cli": ["main", "run_trajectories", "accumulate",
                             "write_trajectories", "write_curve_csv", "fit_nutation",
                             "effective_from_fit", "design_decoherence", "verify_design",
                             "effective_rates", "RunConfig"],
             "iondeco.protocol": ["integrate"],
             "iondeco.config": ["scattering_rates"],
             "iondeco.cli.RunConfig": ["__init__", "load", "parse", "set_path", "serialize",
-                                      "hash", "physical_params", "rates", "initial_state",
+                                      "hash", "physical_params", "rates",
                                       "protocol_config", "model_variant"],
         }
         assert _run_fresh(names, snippet=_FRESH_TRACED_NAMES) == []
