@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run a fixed list of iondeco commands and keep everything they write.
 
-Every subcommand is covered: rates, simulate (to a file, to stdout, and
-with prep_error 1, every preparation faulty), sweep (two values and an
+Every subcommand is covered: rates (from the light knobs and from the
+rates override), simulate (to a file, to stdout, and with prep_error 1,
+every preparation faulty), sweep (two values, an integer axis and an
 empty axis), trajectories (ideal detection; thresholded counts with
 preparation errors; and prep_error 1 with ideal detection that errs both
 ways), fit (a deterministic curve with and without --omega-2pikhz, an
@@ -73,6 +74,8 @@ COMMANDS = [
     ("design-optimize-b", [*DESIGN, "--optimize-b", "--b-max-2pikhz", "5000"]),
     ("design-infeasible", [*DESIGN, "--i0-max", "1e-9"]),
     ("simulate-faulty", ["simulate", "--config", "faulty.yaml", "--nmax", "40"]),
+    ("sweep-nmax", ["sweep", "--axis", "protocol.n_max=5,10", "--out", "sweep_nmax.csv"]),
+    ("rates-override", ["rates", "--config", "run.yaml"]),
 ]
 
 

@@ -234,8 +234,11 @@ def cmd_sweep(args) -> int:
 
     cfg, _ = _build_config(args)
     path, _, valspec = args.axis.partition("=")
+    # an integer key steps integers; set_path checks every value
+    section, _, key = path.partition(".")
+    kind = int if type(DEFAULTS.get(section, {}).get(key)) is int else float
     try:
-        values = sorted(float(v) for v in valspec.split(",") if v.strip())
+        values = sorted(kind(v) for v in valspec.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigError(f"bad --axis value: {exc}") from exc
     header = _provenance(cfg) + [f"axis={path}"]

@@ -15,6 +15,7 @@ import re
 
 import yaml
 
+from .dynamics import MODELS
 from .errors import ConfigError
 from .model import TWO_PI_KHZ, PhysicalParams, ScatteringRates, scattering_rates
 from .protocol import DetectionModel, ProtocolConfig
@@ -71,7 +72,7 @@ DEFAULTS = {
         "threshold": 10,
     },
     "integrator": {
-        "model": "full",  # full | adiabatic
+        "model": "full",  # one of dynamics.MODELS
     },
 }
 
@@ -176,8 +177,12 @@ class RunConfig:
                               location="rates")
         r1 = r["r1_2pikhz"] * TWO_PI_KHZ
         r2 = r["r2_2pikhz"] * TWO_PI_KHZ
-        p1 = min(r1 / params.gamma3, 0.5)
-        p2 = min(0.5 * r2 / params.gamma3, 0.5)
+        # the saturation ceilings: no light drives a P3 to 1/2
+        if r1 >= 0.5 * params.gamma3 or r2 >= params.gamma3:
+            raise ConfigError("rates override beyond the saturation ceilings "
+                              "r1 < gamma3/2 and r2 < gamma3", location="rates")
+        p1 = r1 / params.gamma3
+        p2 = 0.5 * r2 / params.gamma3
         try:
             return ScatteringRates(r1=r1, r2=r2, p3_mean=(p2, p1, p2))
         except ValueError as exc:
@@ -212,7 +217,7 @@ class RunConfig:
 
     def model_variant(self) -> str:
         m = self.data["integrator"]["model"]
-        if m not in ("full", "adiabatic"):
+        if m not in MODELS:
             raise ConfigError(f"unknown model variant '{m}'",
                               location="integrator.model")
         return m

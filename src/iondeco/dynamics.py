@@ -1,22 +1,17 @@
 """Time evolution of the driven four-level system.
 
-Three model variants:
+Two model variants, named in MODELS:
 
 * the full hybrid model: coherent microwave dynamics on 0-1 (Bloch
   variables u, v) coupled to optical pumping through levels 2 and 3 via
   rate equations,
 * an adiabatic variant with the optical level eliminated (valid far
-  below saturation; removes the stiffness gamma3 >> Omega),
-* the effective two-level model of the 0-1 qubit alone, with transverse
-  rate gamma = r1 + gamma_ph_extra and longitudinal rate Gamma = Omega^2/r2
-  (model.effective_rates), the longitudinal fixed point sitting at the
-  *excited* state 1.
+  below saturation; removes the stiffness gamma3 >> Omega).
 
 State vector order is [u, v, n0, n1, n2, n3] with u = 2 Re rho01,
 v = 2 Im rho01 in the microwave rotating frame.  The adiabatic model
-evolves its first five entries and the two-level model its first four;
-`integrate` returns all six, with the quasi-static n3 rebuilt for the
-adiabatic model and n2 = n3 = 0 for the two-level model.
+evolves its first five entries; `integrate` returns all six, with the
+quasi-static n3 rebuilt for the adiabatic model.
 
 Every variant is linear and time-invariant, dy/dt = A y, with A fixed by
 (params, rates).  Evolution on a uniform grid of step h is therefore exact:
@@ -33,9 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateRates, OutOfRange, RegimeViolation
-from .model import (PhysicalParams, ScatteringRates, effective_rates, light_flux,
-                    lorentzian)
+from .errors import OutOfRange, RegimeViolation
+from .model import PhysicalParams, ScatteringRates, light_flux, lorentzian
+
+# the model variants `generator` and `integrate` take
+MODELS = ("full", "adiabatic")
 
 _ADIABATIC_SATURATION_LIMIT = 0.1
 
@@ -111,12 +108,7 @@ def generator(
     model "adiabatic": 5x5 on [u, v, n0, n1, n2], n3 eliminated: the
     scattered flux r1*n1 + r2*n2 redistributes instantly.
 
-    model "two-level": 4x4 on [u, v, n0, n1], the Bloch equations of the
-    0-1 qubit with gamma_eff and Gamma_eff = Omega^2/r2 from
-    model.effective_rates: the coherence decays at gamma_eff and Gamma_eff
-    pumps 0 -> 1.  Raises DegenerateRates when r2 = 0 (no longitudinal
-    channel) and ValueError when gamma_eff < Gamma_eff/2 (not a physical
-    qubit channel).
+    Any other model name raises ValueError.
 
     Each population diagonal entry is minus the rates out of that level, so
     the population columns sum to exactly 0 in floating point.
@@ -148,21 +140,6 @@ def generator(
                 [0.0, -0.5 * om, 0.0, 0.0, 0.0],
                 [0.0, 0.5 * om, 0.0, -b2 * r1, b1 * r2],
                 [0.0, 0.0, 0.0, b2 * r1, -b1 * r2],
-            ]
-        )
-    if model == "two-level":
-        eff = effective_rates(params, rates)
-        if eff.Gamma_eff is None:
-            raise DegenerateRates("r2 = 0: the two-level model has no longitudinal rate")
-        gamma, Gamma = eff.gamma_eff, eff.Gamma_eff
-        if not gamma >= Gamma / 2.0:
-            raise ValueError("unphysical rates: gamma_eff must be >= Gamma_eff/2")
-        return np.array(
-            [
-                [-gamma, -dmw, 0.0, 0.0],
-                [dmw, -gamma, om, -om],
-                [0.0, -0.5 * om, -Gamma, 0.0],
-                [0.0, 0.5 * om, Gamma, 0.0],
             ]
         )
     raise ValueError(f"unknown model variant {model!r}")
@@ -246,9 +223,10 @@ def integrate(
 
     The variant evolves the first len(A) entries of `initial`; the returned
     series has all six columns, with the quasi-static n3 rebuilt for the
-    adiabatic model and n2 = n3 = 0 for the two-level model.  The
-    adiabatic model raises RegimeViolation when any Zeeman component is
-    driven beyond I(m)*L(m) = 0.1, where the elimination is unjustified.
+    adiabatic model.  The adiabatic model raises ValueError when
+    `initial.n3` is not 0, a population it cannot hold, and RegimeViolation
+    when any Zeeman component is driven beyond I(m)*L(m) = 0.1, where the
+    elimination is unjustified.
 
     Raises OutOfRange when a propagated state is not finite or a population
     leaves [0, 1] by more than _POPULATION_SLACK: the step overflowed or
@@ -257,6 +235,8 @@ def integrate(
     import numpy as np
 
     if model == "adiabatic":
+        if initial.n3 != 0:
+            raise ValueError("the adiabatic model holds no n3: start it from n3 = 0")
         for m in (-1, 0, +1):
             if light_flux(params, m) * lorentzian(params, m) > _ADIABATIC_SATURATION_LIMIT:
                 raise RegimeViolation(

@@ -246,7 +246,7 @@ def invert_saturation(p_inf: float) -> float:
 
 
 def effective_from_fit(fit: NutationFit, omega_mw: float) -> EffectiveRates:
-    """Translate a nutation fit into effective two-level rates.
+    """Translate a nutation fit into the effective qubit rates (gamma, Gamma).
 
     gamma = lambda_fit; r2/r1 from the plateau; Gamma = Omega^2 / r2 with
     r1 = gamma and r2 = gamma * (r2/r1).  Raises OutOfRange when Gamma

@@ -177,7 +177,7 @@ def saturation_probability(rates: ScatteringRates) -> float:
 
 
 def effective_rates(params: PhysicalParams, rates: ScatteringRates) -> EffectiveRates:
-    """Map scattering rates onto the effective two-level rates.
+    """Map scattering rates onto the effective qubit rates (gamma, Gamma).
 
     gamma_eff = r1 + gamma_ph_extra.  Gamma_eff = Omega^2 / r2 (the
     dimensionally consistent form of the energy-relaxation identification;

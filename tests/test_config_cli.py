@@ -78,6 +78,15 @@ class TestRunConfig:
         assert r.r1 == pytest.approx(2.0 * TWO_PI_KHZ)
         assert r.r2 == pytest.approx(4.0 * TWO_PI_KHZ)
 
+    @pytest.mark.parametrize("r1, r2", [(9000.0, 1.0), (1.0, 18000.0)],
+                             ids=["r1-at-ceiling", "r2-at-ceiling"])
+    def test_rates_override_beyond_saturation_ceiling(self, r1, r2):
+        # r1 = P3(0) gamma3 < gamma3/2 and r2 = (P3(+1) + P3(-1)) gamma3 < gamma3
+        # for any light; gamma3 is 18000 (2pi kHz) by default
+        with pytest.raises(ConfigError) as exc:
+            RunConfig({"rates": {"r1_2pikhz": r1, "r2_2pikhz": r2}}).rates()
+        assert exc.value.location == "rates"
+
     def test_initial_section_rejected(self):
         # protocol.prep_error is the one prepared state
         with pytest.raises(ConfigError) as exc:
@@ -368,6 +377,19 @@ class TestCliSweep:
         assert finals[1.0] == pytest.approx(1 - 0.5 / (2 * 1.5), abs=1e-2)
         assert finals[4.0] == pytest.approx(1 - 2 / (2 * 3.0), abs=1e-2)
 
+    def test_integer_axis(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--out", str(out), "--axis", "protocol.n_max=10,5"]) == 0
+        text = out.read_text()
+        hashes = dict(re.findall(r"^# config_hash\[(.+)\]=(\w+)$", text, re.M))
+        for value in (5, 10):
+            expected = RunConfig()
+            expected.set_path("protocol.n_max", value)
+            assert hashes[str(value)] == expected.hash()
+        body = [l for l in text.splitlines() if not l.startswith("#")]
+        axis = [l.split(",")[0] for l in body[1:]]
+        assert axis == ["5"] * 5 + ["10"] * 10  # n_max rows after t = 0 per value
+
     def test_empty_axis_echoes_config(self, capsys):
         assert main(["sweep", "--axis", "physical.i0="]) == 0
         out = capsys.readouterr().out
@@ -439,6 +461,13 @@ class TestExitCodes:
                      "--b-max-2pikhz", "inf"]) == 0
         assert json.loads(capsys.readouterr().out)["verification"]["within_tol"]
 
+    def test_two_level_model_exit_2(self, tmp_path, capsys):
+        # the model variants are dynamics.MODELS: full and adiabatic
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("integrator: {model: two-level}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.endswith("(at integrator.model)\n")
+
     def test_regime_violation_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "strong.yaml"
         cfg.write_text(
@@ -460,6 +489,10 @@ class TestExitCodes:
         (["design", "--target-gamma-2pikhz", "nan",
           "--target-big-gamma-2pikhz", "500"], ""),
         (["sweep", "--axis", "physical.i0=abc"], ""),
+        # an axis value is read by its key's kind: no strings, no fractional integers
+        (["sweep", "--axis", "integrator.model=full"], ""),
+        (["sweep", "--axis", "detection.mode=ideal"], ""),
+        (["sweep", "--axis", "protocol.n_max=10.5"], ""),
         (["trajectories", "--seed", "-1"], ""),
         (["design", "--target-gamma-2pikhz", "0.1", "--target-big-gamma-2pikhz", "500",
           "--optimize-b", "--b-max-2pikhz", "nan"], ""),
@@ -478,12 +511,17 @@ class TestExitCodes:
         (_DESIGN, "detection:\n  eps_on: 0.7\n"),
         (_DESIGN, "rates:\n  r1_2pikhz: 1.0\n"),
         (["sweep", "--axis", "physical.i0="], "detection:\n  eps_on: 0.7\n"),
+        # rates no light can produce: r1 >= gamma3/2, r2 >= gamma3
+        (["rates"], "rates: {r1_2pikhz: 20000, r2_2pikhz: 30000}\n"),
+        (["simulate"], "rates: {r1_2pikhz: 20000, r2_2pikhz: 30000}\n"),
     ], ids=["i0-nan", "omega-inf", "dt-nan", "r1-negative", "r1-nan", "n0-nan",
             "i0-null", "probe-nan", "bright-negative", "target-nan", "axis-text",
+            "axis-model", "axis-mode", "axis-fractional-int",
             "seed-negative", "b-max-nan", "b-max-inf", "i0-max-nan", "model-unknown",
             "prep-error-above-one", "prep-error-negative", "rates-model-unknown",
             "rates-eps-on", "rates-prep-error", "design-model-unknown", "design-eps-on",
-            "design-rates-half", "sweep-empty-eps-on"])
+            "design-rates-half", "sweep-empty-eps-on", "rates-beyond-saturation",
+            "simulate-rates-beyond-saturation"])
     def test_invalid_number_exit_2(self, tmp_path, capsys, argv, doc):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(doc)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm as scipy_expm
 
-from iondeco.errors import DegenerateRates, RegimeViolation
+from iondeco.errors import RegimeViolation
 from iondeco.dynamics import (
+    MODELS,
     SystemState,
     _expm,
     _propagate,
@@ -42,21 +44,13 @@ def rates_from_sqrt(sqrt_2r1gl: float, sqrt_r2gl: float) -> ScatteringRates:
 NO_LIGHT = ScatteringRates(0.0, 0.0, (0.0, 0.0, 0.0))
 
 
-def integrate_two_level(initial, gamma, Gamma, omega, t, delta_mw=0.0):
-    """integrate(..., "two-level") at the scattering rates r1 = gamma,
-    r2 = Omega^2/Gamma, whose effective rates are (gamma, Gamma)."""
-    p = PhysicalParams(omega_mw=omega, gamma3=GAMMA3, delta_mw=delta_mw)
-    r = ScatteringRates(r1=gamma, r2=omega**2 / Gamma, p3_mean=(0, 0, 0))
-    return integrate(initial, p, r, t, "two-level")
-
-
 class TestDerivative:
     def test_population_flow_is_traceless(self):
         """In every model the population rows of A sum to exactly 0 in every
         column, the premise of the conserving step of _propagate."""
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3, gamma_ph_extra=11.0,
                            delta_mw=0.3 * OMEGA)
-        for model in ("full", "adiabatic", "two-level"):
+        for model in MODELS:
             A = generator(p, rates_from_sqrt(700, 700), model)
             assert np.all(A[2:].sum(axis=0) == 0.0), model
 
@@ -145,86 +139,18 @@ class TestAdiabatic:
         red = integrate(SystemState(n0=0.8, n1=0.2), p, r, t, "adiabatic")
         assert np.max(np.abs(full.p1 - red.p1)) < 1e-3
 
+    def test_initial_n3_rejected(self):
+        # the adiabatic model rebuilds n3 quasi-statically; a given n3 would be lost
+        p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
+        with pytest.raises(ValueError, match="n3"):
+            integrate(SystemState(n0=0.7, n3=0.3), p, rates_from_sqrt(700, 700),
+                      np.arange(5) * 100e-6, "adiabatic")
+
     def test_regime_violation(self):
         p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3, i0=0.5, alpha=0.2)
         with pytest.raises(RegimeViolation):
             integrate(SystemState(), p, scattering_rates(p),
                       np.linspace(0, 1e-3, 10), "adiabatic")
-
-
-class TestEffectiveTwoLevel:
-    def test_pure_dephasing_equalizes(self):
-        t = np.linspace(0, 4000.0, 200)  # gamma = 1e-2 -> t_max = 40/gamma
-        ts = integrate_two_level(SystemState(), 1e-2, 1e-15, OMEGA / 1e4, t)
-        assert ts.p1[-1] == pytest.approx(0.5, abs=1e-4)
-
-    def test_unit_saturation_parameter(self):
-        # I = Omega^2/(Gamma*gamma) = 1 -> P1(inf) = 3/4
-        gamma, Gamma = 2e3, 1e3
-        omega = math.sqrt(Gamma * gamma)
-        t = np.linspace(0, 50 / Gamma, 300)
-        ts = integrate_two_level(SystemState(), gamma, Gamma, omega, t)
-        assert ts.p1[-1] == pytest.approx(0.75, abs=1e-4)
-
-    def test_matched_to_four_level_reference_curve(self):
-        # effective rates gamma = r1, Gamma = Omega^2/r2 of the four-level curve
-        p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
-        r = rates_from_sqrt(700, 700)
-        t = np.linspace(0, 30e-3, 400)
-        ts = integrate(SystemState(), p, r, t, "two-level")
-        assert abs(ts.p1[-1] - 2 / 3) < 1e-2
-
-    def test_unphysical_rates_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_two_level(SystemState(), 1.0, 10.0, OMEGA, np.linspace(0, 1, 5))
-
-    def test_no_longitudinal_channel_rejected(self):
-        p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
-        r = ScatteringRates(r1=1e3, r2=0.0, p3_mean=(0, 0, 0))
-        with pytest.raises(DegenerateRates):
-            integrate(SystemState(), p, r, np.linspace(0, 1e-3, 5), "two-level")
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        gamma_2pikhz=st.floats(0.01, 10.0),
-        Gamma_frac=st.floats(1e-6, 1.99),
-        omega_2pikhz=st.floats(0.5, 10.0),
-        delta_2pikhz=st.floats(0.1, 5.0),
-        detuning_sign=st.sampled_from([-1.0, 1.0]),
-        w=st.floats(-1.0, 1.0),
-        coherence=st.floats(0.0, 1.0),
-        phase=st.floats(0.0, 2 * math.pi),
-    )
-    def test_matches_homogeneous_bloch_reference(
-        self, gamma_2pikhz, Gamma_frac, omega_2pikhz, delta_2pikhz, detuning_sign,
-        w, coherence, phase,
-    ):
-        """The population form on [u, v, n0, n1] agrees to 1e-12 with the
-        Bloch equations on [w, u, v, 1], w = n1 - n0, whose constant
-        component pulls w toward +1 at Gamma, propagated by scipy's expm
-        at every grid point."""
-        gamma = gamma_2pikhz * TWO_PI_KHZ
-        # gamma > Gamma/2 by more than the rounding of the helper's r2
-        Gamma = Gamma_frac * gamma
-        omega = omega_2pikhz * TWO_PI_KHZ
-        delta = detuning_sign * delta_2pikhz * TWO_PI_KHZ
-        c = coherence * math.sqrt(1 - w * w)  # u^2 + v^2 <= 4 n0 n1 = 1 - w^2
-        u, v = c * math.cos(phase), c * math.sin(phase)
-        bloch = np.array(
-            [
-                [-Gamma, 0.0, omega, Gamma],
-                [0.0, -gamma, -delta, 0.0],
-                [-omega, delta, -gamma, 0.0],
-                [0.0, 0.0, 0.0, 0.0],
-            ]
-        )
-        t = np.arange(21) * 25e-6
-        ref = np.array([scipy_expm(bloch * ti) @ [w, u, v, 1.0] for ti in t])
-        expected = np.column_stack([ref[:, 1], ref[:, 2], (1 - ref[:, 0]) / 2,
-                                    (1 + ref[:, 0]) / 2, np.zeros((len(t), 2))])
-        ts = integrate_two_level(SystemState(u, v, (1 - w) / 2, (1 + w) / 2), gamma,
-                                 Gamma, omega, t, delta)
-        assert np.max(np.abs(ts.y - expected)) < 1e-12
 
 
 @pytest.mark.xfail(
@@ -315,13 +241,23 @@ def test_propagator_matches_solve_ivp_reference(
     c = coherence * math.sqrt(4 * n[0] * n[1])  # u^2 + v^2 <= 4 n0 n1
     initial = SystemState(c * math.cos(phase), c * math.sin(phase), *n)
     t = np.arange(21) * 25e-6
-    models = (("full", _rhs_full, 6), ("adiabatic", _rhs_adiabatic, 5))
-    for model, rhs, size in models:
-        ref = solve_ivp(rhs, (t[0], t[-1]), initial.as_vector()[:size], method="Radau",
+    # the adiabatic model holds no n3; its leg evolves the same first five entries
+    models = (("full", _rhs_full, 6, initial),
+              ("adiabatic", _rhs_adiabatic, 5, dataclasses.replace(initial, n3=0.0)))
+    for model, rhs, size, start in models:
+        ref = solve_ivp(rhs, (t[0], t[-1]), start.as_vector()[:size], method="Radau",
                         t_eval=t, rtol=1e-10, atol=1e-10, args=(p, r))
         assert ref.success
-        ts = integrate(initial, p, r, t, model)
+        ts = integrate(start, p, r, t, model)
         assert np.max(np.abs(ts.y[:, :size] - ref.y.T)) < 1e-7
+
+
+@pytest.mark.parametrize("model", ["two-level", "nope"])
+def test_unknown_model_rejected(model):
+    p = PhysicalParams(omega_mw=OMEGA, gamma3=GAMMA3)
+    assert model not in MODELS
+    with pytest.raises(ValueError, match="unknown model variant"):
+        integrate(SystemState(), p, rates_from_sqrt(700, 700), np.arange(5) * 100e-6, model)
 
 
 def test_non_uniform_grid_rejected():
@@ -378,10 +314,11 @@ def test_propagator_matches_mpmath_reference(
     c = coherence * math.sqrt(4 * n[0] * n[1])
     initial = SystemState(c * math.cos(phase), c * math.sin(phase), *n)
     t = np.arange(21) * dt_us * 1e-6
-    for model, size in (("full", 6), ("adiabatic", 5)):
+    models = (("full", 6, initial), ("adiabatic", 5, dataclasses.replace(initial, n3=0.0)))
+    for model, size, start in models:
         A = generator(p, r, model)
-        ref = _mp_propagate(A, initial.as_vector()[:size], t)
-        assert np.max(np.abs(integrate(initial, p, r, t, model).y[:, :size] - ref)) < 1e-12
+        ref = _mp_propagate(A, start.as_vector()[:size], t)
+        assert np.max(np.abs(integrate(start, p, r, t, model).y[:, :size] - ref)) < 1e-12
         assert np.max(np.abs(_expm(A * t[1]) - scipy_expm(A * t[1]))) < 1e-11
 
 
