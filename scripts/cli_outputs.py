@@ -13,7 +13,9 @@ plus scripts/run_curve_families.py.
 
 The commands run from OUTDIR with relative paths, so two runs, or runs
 against two versions of the package (set PYTHONPATH to its src/), can be
-compared with `diff -r`.  Each command's stdout goes to NN-<name>.out;
+compared with `diff -r`; scripts/run_curve_families.py runs with the
+directory of the imported package first on its PYTHONPATH, so a relative
+PYTHONPATH works too.  Each command's stdout goes to NN-<name>.out;
 exits.txt holds each command line with its exit code and stderr.
 
 Usage: python scripts/cli_outputs.py OUTDIR
@@ -26,7 +28,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import iondeco
 from iondeco.cli import main as iondeco_main
+
+# the directory that holds the imported package, absolute, so that the
+# families script, which runs inside OUTDIR, imports the same package
+PACKAGE_ROOT = str(Path(iondeco.__file__).resolve().parents[1])
 
 RUN_YAML = """\
 rates: {r1_2pikhz: 0.2, r2_2pikhz: 0.4}
@@ -95,8 +102,10 @@ def main():
         Path(f"{i:02d}-{name}.out").write_text(out.getvalue())
         log.append(f"$ iondeco {' '.join(argv)}\nexit {code}\n{err.getvalue()}")
     script = Path(__file__).resolve().with_name("run_curve_families.py")
+    path = filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run([sys.executable, str(script), "families"],
-                          capture_output=True, text=True)
+                          env=env, capture_output=True, text=True)
     Path("families.out").write_text(proc.stdout)
     log.append(f"$ run_curve_families.py families\nexit {proc.returncode}\n{proc.stderr}")
     Path("exits.txt").write_text("".join(log))

@@ -315,6 +315,10 @@ def main(argv=None) -> int:
         loc = f" (at {exc.location})" if getattr(exc, "location", None) else ""
         print(f"config error: {exc}{loc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a grid or an outcome block too large for this machine
+        print(f"config error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 2
     except (IondecoError, OverflowError) as exc:  # OverflowError: beyond the float range
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

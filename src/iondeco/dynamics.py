@@ -15,13 +15,15 @@ quasi-static n3 rebuilt for the adiabatic model.
 
 Every variant is linear and time-invariant, dy/dt = A y, with A fixed by
 (params, rates).  Evolution on a uniform grid of step h is therefore exact:
-one propagator P = expm(A h) and one mat-vec per grid point (Moler & Van
-Loan, SIAM Rev. 45 (2003)).  expm is numpy-only Pade-13 with scaling and
-squaring (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)), so evolution
+one propagator P = expm(A h) (Moler & Van Loan, SIAM Rev. 45 (2003)),
+applied by doubling: the states at points m..2m-1 are those at 0..m-1
+times P^m, and P^m is squared between blocks, so n points take about
+2 log2(n) small matrix products.  expm is numpy-only Pade-13 with scaling
+and squaring (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)), so evolution
 needs no scipy.  No eigendecomposition is used: A is defective at zero
 light and at Omega = 0.  Every variant conserves the populations it
-evolves; its step matrix is made to conserve them to rounding, so the
-trace does not drift over many steps.
+evolves; its step matrix and every square of it are made to conserve them
+to rounding, so the trace does not drift along the grid.
 """
 
 from __future__ import annotations
@@ -178,36 +180,50 @@ def _expm(M: np.ndarray) -> np.ndarray:
 def _propagate(A: np.ndarray, y0, t_grid: np.ndarray) -> np.ndarray:
     """States expm(A t) @ y0 at the points of a uniform grid, shape (n, len(y0)).
 
+    The grid is filled by doubling: with P = expm(A h)^m, the block
+    ys[m:2m] is ys[0:m] @ P^T, and P is squared between blocks, so n points
+    take about log2(n) block products and as many squarings, and each state
+    passes through at most ceil(log2 n) rounded products.
+
     The entries from _FIRST_POPULATION on are populations whose sum A
-    conserves.  The last population row of each propagator is rebuilt from
-    the others, so the propagator conserves that sum to rounding however
-    large |A h| is.
+    conserves.  The last population row of the step and of each square is
+    rebuilt from the others, so every propagator conserves that sum to
+    rounding however large |A h| is.
     """
     import numpy as np
 
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a non-empty 1-d array")
-    h = (t_grid[-1] - t_grid[0]) / max(t_grid.size - 1, 1)
+    n = t_grid.size
+    h = (t_grid[-1] - t_grid[0]) / max(n - 1, 1)
     rounding = 4 * np.finfo(float).eps * np.abs(t_grid).max()
     if np.any(np.abs(np.diff(t_grid) - h) > _GRID_TOLERANCE * abs(h) + rounding):
         raise ValueError("t_grid must be uniformly spaced")
 
-    def propagator(t):
-        P = _expm(A * t)
-        e = np.zeros(len(A))
-        e[_FIRST_POPULATION:] = 1.0
+    e = np.zeros(len(A))
+    e[_FIRST_POPULATION:] = 1.0
+
+    def conserving(P):
         P[-1] = e - P[_FIRST_POPULATION:-1].sum(axis=0)
         return P
 
-    y0 = np.asarray(y0, dtype=float)
-    ys = np.empty((t_grid.size, len(y0)))
+    ys = np.empty((n, len(A)))
+    ys[0] = y0
     # a state beyond the float range is left inf or nan for integrate to report
     with np.errstate(over="ignore", invalid="ignore"):
-        # expm(A * 0) is exactly the identity, so a grid from 0 skips it
-        ys[0] = y0 if t_grid[0] == 0 else propagator(t_grid[0]) @ y0
-        step = propagator(h)
-        for i in range(1, t_grid.size):
-            ys[i] = step @ ys[i - 1]
+        # expm(A * 0) is exactly the identity, so a grid from 0 skips it.  A
+        # grid from h takes its first row in the blocks' product form, so it
+        # equals row 1 of a grid from 0 bit for bit.
+        if t_grid[0] != 0:
+            ys[:1] = ys[:1] @ conserving(_expm(A * t_grid[0])).T
+        P = conserving(_expm(A * h))
+        m = 1
+        while m < n:
+            k = min(m, n - m)
+            ys[m:m + k] = ys[:k] @ P.T
+            m += k
+            if m < n:
+                P = conserving(P @ P)
     return ys
 
 

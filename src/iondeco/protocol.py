@@ -123,6 +123,8 @@ class ProtocolConfig:
             raise ValueError("dt_unit and probe_duration must be finite and positive")
         if self.n_max < 1 or self.n_trajectories < 1:
             raise ValueError("n_max and n_trajectories must be >= 1")
+        if self.n_trajectories * self.n_max >= 2**53:  # larger counts are not exact floats
+            raise ValueError("n_max and n_trajectories * n_max must lie below 2**53")
         if not 0 <= self.prep_error <= 1:
             raise ValueError("prep_error must be a probability")
         if not 0 <= self.seed < 2**64:

@@ -569,6 +569,33 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
+        ["simulate", "--nmax", str(2**62)],
+        ["trajectories", "--nmax", "3", "--ntraj", str(2**62)],
+        ["simulate", "--nmax", str(2**53)],
+        ["trajectories", "--nmax", str(2**27), "--ntraj", str(2**26)],
+    ], ids=["simulate-nmax-2**62", "trajectories-ntraj-2**62", "simulate-nmax-2**53",
+            "trajectories-bits-2**53"])
+    def test_protocol_beyond_exact_counts_exit_2(self, tmp_path, capsys, argv):
+        # rejected by ProtocolConfig before any array is allocated
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: n_max and n_trajectories * n_max must lie below "
+                       "2**53 (at protocol)\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+        (MemoryError(), "allocation failed"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch, exc, message):
+        def no_memory(*_):  # stands in for an allocation this machine cannot make
+            raise exc
+
+        monkeypatch.setattr("iondeco.cli.drive_series", no_memory)
+        assert main(["simulate"]) == 2
+        assert capsys.readouterr().err == f"config error: out of memory: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "--dt-us", "1e6", "--omega-2pikhz", "1e20", "--i0", "4.2",
          "--nmax", "5"],
         ["simulate", "--dt-us", "1e20", "--nmax", "20"],

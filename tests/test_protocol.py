@@ -169,6 +169,14 @@ class TestDetection:
             DetectionModel(eps_on=0.6)
 
 
+def test_protocol_outcome_count_below_2_53():
+    # constructing a config allocates nothing, so the bound is checked here
+    assert ProtocolConfig(n_max=2**26, n_trajectories=2**27 - 1).n_max == 2**26
+    for n_max, n_trajectories in ((2**53, 1), (2**26, 2**27), (3, 2**62)):
+        with pytest.raises(ValueError, match=r"below 2\*\*53"):
+            ProtocolConfig(n_max=n_max, n_trajectories=n_trajectories)
+
+
 class TestAccumulate:
     def test_all_on(self):
         cfg = ProtocolConfig(dt_unit=1e-6, n_max=20, n_trajectories=30, seed=0)

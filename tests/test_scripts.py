@@ -42,3 +42,13 @@ def test_cli_outputs_repeat_byte_identical(tmp_path):
     assert exits.count("\nexit 0\n") == exits.count("$ ") - 2
     assert "\nexit 2\nconfig error: no_rows.csv: no data rows\n" in exits
     assert "\nexit 4\n" in exits
+
+
+def test_cli_outputs_families_with_relative_pythonpath(tmp_path):
+    # the families script runs inside OUTDIR, where "src" names nothing
+    env = {**os.environ, "PYTHONPATH": "src"}
+    proc = subprocess.run([sys.executable, "scripts/cli_outputs.py", str(tmp_path / "out")],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exits = (tmp_path / "out" / "exits.txt").read_text()
+    assert "$ run_curve_families.py families\nexit 0\n" in exits
