@@ -3,7 +3,8 @@
 
 Every subcommand is covered: rates (from the light knobs and from the
 rates override), simulate (to a file, to stdout, and with prep_error 1,
-every preparation faulty), sweep (two values, an integer axis and an
+every preparation faulty, and both models with a detuned drive, extra
+dephasing and the light on), sweep (two values, an integer axis and an
 empty axis), trajectories (ideal detection; thresholded counts with
 preparation errors; and prep_error 1 with ideal detection that errs both
 ways), fit (a deterministic curve with and without --omega-2pikhz, an
@@ -54,6 +55,12 @@ protocol: {prep_error: 1}
 detection: {eps_on: 0.03, eps_off: 0.05}
 """
 
+# a detuned drive with extra dephasing and the light on, so that every term
+# of both generators is nonzero
+DETUNED_YAML = """\
+physical: {delta_mw_2pikhz: 0.7, gamma_ph_extra_2pikhz: 0.05, i0: 3.0e-4, alpha_deg: 60}
+"""
+
 DESIGN = ["design", "--omega-2pikhz", "10", "--target-gamma-2pikhz", "0.1",
           "--target-big-gamma-2pikhz", "500"]
 
@@ -83,6 +90,9 @@ COMMANDS = [
     ("simulate-faulty", ["simulate", "--config", "faulty.yaml", "--nmax", "40"]),
     ("sweep-nmax", ["sweep", "--axis", "protocol.n_max=5,10", "--out", "sweep_nmax.csv"]),
     ("rates-override", ["rates", "--config", "run.yaml"]),
+    ("simulate-detuned-full", ["simulate", "--config", "detuned.yaml", "--nmax", "40"]),
+    ("simulate-detuned-adiabatic", ["simulate", "--config", "detuned_adiabatic.yaml",
+                                    "--nmax", "40"]),
 ]
 
 
@@ -93,6 +103,8 @@ def main():
     Path("run.yaml").write_text(RUN_YAML)
     Path("counts.yaml").write_text(COUNTS_YAML)
     Path("faulty.yaml").write_text(FAULTY_YAML)
+    Path("detuned.yaml").write_text(DETUNED_YAML)
+    Path("detuned_adiabatic.yaml").write_text(DETUNED_YAML + "integrator: {model: adiabatic}\n")
     Path("no_rows.csv").write_text("# dt_us=100.0\nN,p1_mean\n")
     log = []
     for i, (name, argv) in enumerate(COMMANDS):

@@ -17,6 +17,7 @@ from iondeco import (
     ScatteringRates,
     SystemState,
     integrate,
+    saturation_probability,
 )
 from iondeco.protocol import format_table
 
@@ -67,9 +68,8 @@ def main():
           f"{outdir}/sweep_dephasing_channel.csv")
     for _, s2 in sweep_r2:
         r = rates_from_sqrt(700, s2)
-        ratio = r.r2 / r.r1
-        plateau = 1 - 0.5 * ratio / (1 + ratio)
-        print(f"  s2={s2:5d}: r2/r1 = {ratio:6.3f}, plateau = {plateau:.4f}")
+        print(f"  s2={s2:5d}: r2/r1 = {r.r2 / r.r1:6.3f}, "
+              f"plateau = {saturation_probability(r):.4f}")
 
 
 if __name__ == "__main__":

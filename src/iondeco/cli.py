@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import __version__
-from .config import DEFAULTS, RunConfig
+from .config import RunConfig, default_of
 from .design import DesignTarget, design_decoherence, verify_design
 from .errors import ConfigError, DegenerateRates, InfeasibleDesign, IondecoError, OutOfRange
 from .fitting import effective_from_fit, fit_nutation, invert_saturation
@@ -48,8 +48,7 @@ def _add_common(parser):
     parser.add_argument("--config", help="YAML run configuration")
     parser.add_argument("--out", help="output path (default: stdout)")
     for attr, path in _OVERRIDES.items():
-        section, key = path.split(".")
-        parser.add_argument("--" + attr.replace("_", "-"), type=type(DEFAULTS[section][key]))
+        parser.add_argument("--" + attr.replace("_", "-"), type=type(default_of(path)))
 
 
 def _build(cfg: RunConfig) -> tuple:
@@ -59,14 +58,14 @@ def _build(cfg: RunConfig) -> tuple:
     return params, cfg.rates(params), cfg.protocol_config(), cfg.model_variant()
 
 
-def _build_config(args) -> tuple[RunConfig, tuple]:
-    """The config of `args` with its flag overrides set, and its `_build`."""
+def _config(args) -> RunConfig:
+    """The config of `args` with its flag overrides set."""
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
     for attr, path in _OVERRIDES.items():
         value = getattr(args, attr)
         if value is not None:
             cfg.set_path(path, value)
-    return cfg, _build(cfg)
+    return cfg
 
 
 def _provenance(cfg: RunConfig) -> list[str]:
@@ -93,7 +92,8 @@ def _json_dump(obj) -> str:
 
 
 def cmd_rates(args) -> int:
-    cfg, (params, rates, *_) = _build_config(args)
+    cfg = _config(args)
+    params, rates, *_ = _build(cfg)
     eff = effective_rates(params, rates)
     doc = {
         "provenance": {
@@ -126,21 +126,21 @@ def _series_table(params, series) -> np.ndarray:
     """Rows [theta, tau, p1 = n1 + n2, n0, n1, n2, n3] after t = 0."""
     import numpy as np
 
-    t, y = series.t[1:], series.y[1:]
-    return np.column_stack([params.omega_mw * t, t, y[:, 3] + y[:, 4], y[:, 2:]])
+    t = series.t[1:]
+    return np.column_stack([params.omega_mw * t, t, series.p1[1:], series.y[1:, 2:]])
 
 
 def cmd_simulate(args) -> int:
-    cfg, built = _build_config(args)
-    params, series = built[0], drive_series(*built)
+    cfg = _config(args)
+    params, series = _simulate_series(cfg)
     header = _provenance(cfg) + [f"dt_us={cfg.data['protocol']['dt_us']!r}"]
     _emit(format_table(header, _SERIES_COLUMNS, _series_table(params, series)), args.out)
     return 0
 
 
 def cmd_trajectories(args) -> int:
-    cfg, built = _build_config(args)
-    batch = run_trajectories(*built)
+    cfg = _config(args)
+    batch = run_trajectories(*_build(cfg))
     curve = accumulate(batch)
     base = args.out or "trajectories"
     write_trajectories(f"{base}.traj.txt", batch)
@@ -186,7 +186,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_design(args) -> int:
-    cfg, (params, *_) = _build_config(args)
+    cfg = _config(args)
+    params, *_ = _build(cfg)
     try:
         target = DesignTarget(
             gamma_target=args.target_gamma_2pikhz * TWO_PI_KHZ,
@@ -232,11 +233,13 @@ def cmd_design(args) -> int:
 def cmd_sweep(args) -> int:
     import numpy as np
 
-    cfg, _ = _build_config(args)
-    path, _, valspec = args.axis.partition("=")
+    cfg = _config(args)
+    _build(cfg)  # the whole document is checked, even for an empty axis
+    path, eq, valspec = args.axis.partition("=")
+    if not eq:
+        raise ConfigError(f"--axis must be 'key=values', got {args.axis!r}")
     # an integer key steps integers; set_path checks every value
-    section, _, key = path.partition(".")
-    kind = int if type(DEFAULTS.get(section, {}).get(key)) is int else float
+    kind = int if type(default_of(path)) is int else float
     try:
         values = sorted(kind(v) for v in valspec.split(",") if v.strip())
     except ValueError as exc:

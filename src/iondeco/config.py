@@ -85,6 +85,14 @@ _KINDS = {
 }
 
 
+def default_of(dotted: str):
+    """The default of one 'section.key' entry; ConfigError for an unknown key."""
+    section, _, key = dotted.partition(".")
+    if key not in DEFAULTS.get(section, ()):
+        raise ConfigError(f"unknown key '{dotted}'", location=dotted)
+    return DEFAULTS[section][key]
+
+
 class RunConfig:
     """Validated configuration document with defaults filled in.
 
@@ -107,12 +115,10 @@ class RunConfig:
     def set_path(self, dotted: str, value):
         """Set one 'section.key' entry: every leaf of a document and every
         CLI flag override comes through here."""
-        section, _, key = dotted.partition(".")
-        if key not in DEFAULTS.get(section, ()):
-            raise ConfigError(f"unknown key '{dotted}'", location=dotted)
-        accepted, kind = _KINDS[type(DEFAULTS[section][key])]
+        accepted, kind = _KINDS[type(default_of(dotted))]
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ConfigError(f"'{dotted}' must be {kind}", location=dotted)
+        section, _, key = dotted.partition(".")
         self.data[section][key] = value
 
     # -- I/O ---------------------------------------------------------------

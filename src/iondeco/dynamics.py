@@ -33,9 +33,6 @@ from dataclasses import dataclass
 from .errors import OutOfRange, RegimeViolation
 from .model import PhysicalParams, ScatteringRates, light_flux, lorentzian
 
-# the model variants `generator` and `integrate` take
-MODELS = ("full", "adiabatic")
-
 _ADIABATIC_SATURATION_LIMIT = 0.1
 
 # Largest deviation of a grid step from uniform, relative to the step, on
@@ -96,55 +93,58 @@ class TimeSeries:
         return self.y[:, 2:].sum(axis=1)
 
 
+# model -> (size, terms): the generator is the sum of its terms, each a named
+# physical rate times a constant matrix, given as (row, column, entry)s.
+_COHERENT = (
+    ("omega_mw", ((1, 2, 1.0), (1, 3, -1.0), (2, 1, -0.5), (3, 1, 0.5))),
+    ("delta_mw", ((0, 1, -1.0), (1, 0, 1.0))),
+    ("gamma_c", ((0, 0, -1.0), (1, 1, -1.0))),
+)
+_TERMS = {
+    "full": (6, _COHERENT + (
+        ("r1", ((3, 3, -1.0), (5, 3, 1.0))),
+        ("r2", ((4, 4, -1.0), (5, 4, 1.0))),
+        ("beta1_gamma3", ((3, 5, 1.0), (5, 5, -1.0))),
+        ("beta2_gamma3", ((4, 5, 1.0), (5, 5, -1.0))),
+    )),
+    "adiabatic": (5, _COHERENT + (
+        ("beta2_r1", ((3, 3, -1.0), (4, 3, 1.0))),
+        ("beta1_r2", ((3, 4, 1.0), (4, 4, -1.0))),
+    )),
+}
+MODELS = tuple(_TERMS)  # the model variants `generator` and `integrate` take
+
+
 def generator(
     params: PhysicalParams, rates: ScatteringRates, model: str = "full"
 ) -> np.ndarray:
-    """Generator A of the equations of motion dy/dt = A y.
+    """Generator A of dy/dt = A y, the sum of the model's terms in _TERMS
+    (ValueError for another model).  The population rows of every term sum
+    to exactly 0 in each column, so A conserves the populations' sum.
 
-    model "full": 6x6 on [u, v, n0, n1, n2, n3].  Microwave drive couples
-    0-1 only; light pumps 1 -> 3 at r1 and 2 -> 3 at r2; level 3 decays to
-    1 and 2 with branching beta1:beta2.  The 0-1 coherence decays at
-    gamma_c = r1 + gamma_ph_extra, i.e. all scattering out of state 1
-    carries full dephasing weight.
-
-    model "adiabatic": 5x5 on [u, v, n0, n1, n2], n3 eliminated: the
-    scattered flux r1*n1 + r2*n2 redistributes instantly.
-
-    Any other model name raises ValueError.
-
-    Each population diagonal entry is minus the rates out of that level, so
-    the population columns sum to exactly 0 in floating point.
+    "full", 6x6 on [u, v, n0, n1, n2, n3]: the microwave drive (Omega,
+    detuning delta_mw) couples 0-1 only; light pumps 1 -> 3 at r1 and 2 -> 3
+    at r2; level 3 decays to 1 and 2 at beta1 gamma3 and beta2 gamma3.  The
+    0-1 coherence decays at gamma_c = r1 + gamma_ph_extra, i.e. all
+    scattering out of state 1 carries full dephasing weight.
+    "adiabatic", 5x5 on [u, v, n0, n1, n2], n3 eliminated: the scattered
+    flux redistributes instantly, 1 -> 2 at beta2 r1 and 2 -> 1 at beta1 r2.
     """
     import numpy as np
 
-    om = params.omega_mw
-    dmw = params.delta_mw
-    gc = rates.r1 + params.gamma_ph_extra
-    r1, r2 = rates.r1, rates.r2
-    b1, b2 = params.beta1, params.beta2
-    if model == "full":
-        g3 = params.gamma3
-        return np.array(
-            [
-                [-gc, -dmw, 0.0, 0.0, 0.0, 0.0],
-                [dmw, -gc, om, -om, 0.0, 0.0],
-                [0.0, -0.5 * om, 0.0, 0.0, 0.0, 0.0],
-                [0.0, 0.5 * om, 0.0, -r1, 0.0, b1 * g3],
-                [0.0, 0.0, 0.0, 0.0, -r2, b2 * g3],
-                [0.0, 0.0, 0.0, r1, r2, -(b1 * g3 + b2 * g3)],
-            ]
-        )
-    if model == "adiabatic":
-        return np.array(
-            [
-                [-gc, -dmw, 0.0, 0.0, 0.0],
-                [dmw, -gc, om, -om, 0.0],
-                [0.0, -0.5 * om, 0.0, 0.0, 0.0],
-                [0.0, 0.5 * om, 0.0, -b2 * r1, b1 * r2],
-                [0.0, 0.0, 0.0, b2 * r1, -b1 * r2],
-            ]
-        )
-    raise ValueError(f"unknown model variant {model!r}")
+    if model not in _TERMS:
+        raise ValueError(f"unknown model variant {model!r}")
+    p, r = params, rates
+    rate = {"omega_mw": p.omega_mw, "delta_mw": p.delta_mw,
+            "gamma_c": r.r1 + p.gamma_ph_extra, "r1": r.r1, "r2": r.r2,
+            "beta1_gamma3": p.beta1 * p.gamma3, "beta2_gamma3": p.beta2 * p.gamma3,
+            "beta2_r1": p.beta2 * r.r1, "beta1_r2": p.beta1 * r.r2}
+    size, terms = _TERMS[model]
+    A = np.zeros((size, size))
+    for name, entries in terms:
+        for i, j, entry in entries:
+            A[i, j] += entry * rate[name]
+    return A
 
 
 def _expm(M: np.ndarray) -> np.ndarray:

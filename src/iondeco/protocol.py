@@ -55,13 +55,15 @@ def _poisson_sf(threshold: int, mu: float) -> float:
     """
     if mu == 0:
         return 0.0
+    if mu == math.inf:  # P(X > threshold) tends to 1 as mu grows
+        return 1.0
     upper = threshold >= mu
     j, step = (threshold + 1, 1) if upper else (threshold, -1)
     terms, total = [], 0.0
     while j >= 0:
         terms.append(math.exp(_poisson_log_pmf(j, mu)))
         total += terms[-1]
-        if not terms[-1] > 2.0**-60 * total:  # nan (mu = inf) stops too
+        if not terms[-1] > 2.0**-60 * total:
             break
         j += step
     tail = math.fsum(terms)

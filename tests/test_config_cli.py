@@ -404,6 +404,19 @@ class TestExitCodes:
         assert main(["rates", "--config", str(cfg)]) == 2
         assert "physical.bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis, message", [
+        ("nonsense", "--axis must be 'key=values'"),
+        ("physical.i0", "--axis must be 'key=values'"),
+        ("physical.i0:1e-4,2e-4", "--axis must be 'key=values'"),
+        ("physical.io=", "unknown key 'physical.io' (at physical.io)"),
+    ], ids=["no-key", "no-values", "colon", "unknown-key-empty"])
+    def test_mistyped_sweep_axis_exit_2(self, capsys, axis, message):
+        # each was an empty-axis table with exit 0
+        assert main(["sweep", "--axis", axis, "--nmax", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error") and message in captured.err
+
     def test_yaml_exponent_without_dot(self, tmp_path, capsys):
         # YAML 1.1 reads 3e-4 as a string; the config loader reads it as
         # YAML 1.2 does, so it is the same document as 3.0e-4

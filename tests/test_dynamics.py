@@ -11,6 +11,7 @@ from scipy.linalg import expm as scipy_expm
 
 from iondeco.errors import RegimeViolation
 from iondeco.dynamics import (
+    _TERMS,
     MODELS,
     SystemState,
     _expm,
@@ -405,3 +406,102 @@ def test_doubling_matches_mpmath_on_301_points(
         assert np.max(np.abs(ys - _mp_propagate(A, start, t))) < 1e-12
         drift = ys[:, 2:].sum(axis=1) - start[2:].sum()
         assert np.max(np.abs(drift)) < 4e-15
+
+
+def _literal_generator(p, r, model):
+    """Both generators written out entry by entry: the reference for the
+    term table."""
+    om, dmw = p.omega_mw, p.delta_mw
+    gc = r.r1 + p.gamma_ph_extra
+    r1, r2 = r.r1, r.r2
+    b1, b2, g3 = p.beta1, p.beta2, p.gamma3
+    if model == "full":
+        return np.array([
+            [-gc, -dmw, 0.0, 0.0, 0.0, 0.0],
+            [dmw, -gc, om, -om, 0.0, 0.0],
+            [0.0, -0.5 * om, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.5 * om, 0.0, -r1, 0.0, b1 * g3],
+            [0.0, 0.0, 0.0, 0.0, -r2, b2 * g3],
+            [0.0, 0.0, 0.0, r1, r2, -(b1 * g3 + b2 * g3)],
+        ])
+    return np.array([
+        [-gc, -dmw, 0.0, 0.0, 0.0],
+        [dmw, -gc, om, -om, 0.0],
+        [0.0, -0.5 * om, 0.0, 0.0, 0.0],
+        [0.0, 0.5 * om, 0.0, -b2 * r1, b1 * r2],
+        [0.0, 0.0, 0.0, b2 * r1, -b1 * r2],
+    ])
+
+
+# knobs with exactly 0 drawn often: a zero weight is where the term sum and
+# the literal matrix may differ in the sign of a zero entry
+_KNOBS = dict(
+    omega_2pikhz=st.just(0.0) | st.floats(0.0, 50.0),
+    delta_mw_2pikhz=st.just(0.0) | st.floats(-5.0, 5.0),
+    i0=st.just(0.0) | st.floats(1e-5, 1e-2),
+    alpha=st.floats(0.0, math.pi / 2),
+    b_2pikhz=st.just(0.0) | st.floats(0.0, 2e4),
+    gamma_ph_2pikhz=st.just(0.0) | st.floats(0.0, 1.0),
+)
+
+
+def _knob_params(omega_2pikhz, delta_mw_2pikhz, i0, alpha, b_2pikhz, gamma_ph_2pikhz):
+    return PhysicalParams(
+        omega_mw=omega_2pikhz * TWO_PI_KHZ,
+        gamma3=GAMMA3,
+        i0=i0,
+        alpha=alpha,
+        zeeman_delta=b_2pikhz * TWO_PI_KHZ,
+        delta_mw=delta_mw_2pikhz * TWO_PI_KHZ,
+        gamma_ph_extra=gamma_ph_2pikhz * TWO_PI_KHZ,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_KNOBS)
+def test_term_sum_equals_literal_matrices(**knobs):
+    p = _knob_params(**knobs)
+    r = scattering_rates(p)
+    for model in MODELS:
+        assert np.array_equal(generator(p, r, model), _literal_generator(p, r, model))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_every_term_conserves_populations(model):
+    """The population rows of each term matrix sum to exactly 0 in every
+    column, so every weighted sum of the terms conserves the populations."""
+    size, terms = _TERMS[model]
+    for name, entries in terms:
+        B = np.zeros((size, size))
+        for i, j, entry in entries:
+            B[i, j] += entry
+        assert np.all(B[2:].sum(axis=0) == 0.0), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    **_KNOBS,
+    pure=st.booleans(),
+    weights=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+    coherence=st.floats(0.0, 1.0),
+    phase=st.floats(0.0, 2 * math.pi),
+    dt_us=st.sampled_from([2.0, 20.0, 100.0]),
+)
+def test_integrate_equals_literal_propagation_bit_for_bit(
+    pure, weights, coherence, phase, dt_us, **knobs
+):
+    """integrate on the term sum equals _propagate on the literal matrix,
+    the sign of every zero included, from the ground state or a mixture."""
+    p = _knob_params(**knobs)
+    r = scattering_rates(p)
+    n = np.array(weights) / sum(weights)
+    c = coherence * math.sqrt(4 * n[0] * n[1])
+    initial = SystemState() if pure else SystemState(
+        c * math.cos(phase), c * math.sin(phase), *n)
+    t = np.arange(301) * dt_us * 1e-6
+    models = (("full", 6, initial), ("adiabatic", 5, dataclasses.replace(initial, n3=0.0)))
+    for model, size, start in models:
+        ys = integrate(start, p, r, t, model).y[:, :size]
+        ref = _propagate(_literal_generator(p, r, model), start.as_vector()[:size], t)
+        assert np.array_equal(ys, ref)
+        assert np.array_equal(np.signbit(ys), np.signbit(ref))

@@ -13,6 +13,7 @@ from iondeco.protocol import (
     DetectionModel,
     ProtocolConfig,
     TrajectoryBatch,
+    _poisson_sf,
     accumulate,
     read_curve_file,
     read_header,
@@ -161,6 +162,18 @@ class TestDetection:
             got = det.on_probability(1.0, mu)
             assert time.perf_counter() - start < 0.1
             assert abs(got - poisson.sf(threshold, mu)) <= 1e-12
+
+    @pytest.mark.parametrize("threshold", [0, 10, 2**53 - 1])
+    def test_poisson_tail_of_infinite_mean_is_one(self, threshold):
+        # P(X > k) tends to 1 as the mean grows beyond the float range
+        assert _poisson_sf(threshold, math.inf) == 1.0
+
+    def test_overflowing_bright_count_stays_on(self):
+        # (bright + dark) * probe = inf: F=1 is always on, F=0 never
+        det = DetectionModel(mode="thresholded-counts", bright_rate=1e12,
+                             dark_rate=0.0, threshold=10)
+        p1 = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_array_equal(det.on_probability(p1, 1e300), p1)
 
     def test_invalid_model(self):
         with pytest.raises(ValueError):
