@@ -6,10 +6,11 @@ rates override), simulate (to a file, to stdout, and with prep_error 1,
 every preparation faulty, and both models with a detuned drive, extra
 dephasing and the light on), sweep (two values, an integer axis and an
 empty axis), trajectories (ideal detection; thresholded counts with
-preparation errors; and prep_error 1 with ideal detection that errs both
-ways), fit (a deterministic curve with and without --omega-2pikhz, an
-accumulated curve, an Omega whose square overflows, a huge Omega and a
-curve with no rows), design (fixed field, optimized field, infeasible),
+preparation errors, with 8 trajectories and with 300, more than a uint8
+count holds; and prep_error 1 with ideal detection that errs both ways),
+fit (a deterministic curve with and without --omega-2pikhz, an accumulated
+curve, an Omega whose square overflows, a huge Omega and a curve with no
+rows), design (fixed field, optimized field, infeasible),
 plus scripts/run_curve_families.py.
 
 The commands run from OUTDIR with relative paths, so two runs, or runs
@@ -93,6 +94,8 @@ COMMANDS = [
     ("simulate-detuned-full", ["simulate", "--config", "detuned.yaml", "--nmax", "40"]),
     ("simulate-detuned-adiabatic", ["simulate", "--config", "detuned_adiabatic.yaml",
                                     "--nmax", "40"]),
+    ("trajectories-counts-300", ["trajectories", "--config", "counts.yaml", "--nmax", "40",
+                                 "--ntraj", "300", "--seed", "9", "--out", "counts_300"]),
 ]
 
 

@@ -7,7 +7,6 @@ at this boundary.  Unknown keys are rejected with their dotted location.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -101,7 +100,8 @@ class RunConfig:
     """
 
     def __init__(self, data: dict | None = None):
-        self.data = copy.deepcopy(DEFAULTS)
+        # every leaf of DEFAULTS is immutable, so a copy per section will do
+        self.data = {section: dict(keys) for section, keys in DEFAULTS.items()}
         if not isinstance(data, (dict, type(None))):
             raise ConfigError("expected a mapping at '<root>'")
         for section, keys in (data or {}).items():

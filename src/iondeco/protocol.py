@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .dynamics import SystemState, TimeSeries, integrate
 from .model import PhysicalParams, ScatteringRates
@@ -144,12 +144,16 @@ class TrajectoryBatch:
 
 
 def _sample_outcomes(curve, config: ProtocolConfig) -> np.ndarray:
+    """Bit (k, N) = [u < q_N] for the uniform u = (w >> 11) 2**-53 that
+    Generator.random() makes of raw Philox word w.  As (w >> 11) is an
+    integer, u < q holds exactly when (w >> 11) < ceil(max(q, 0) 2**53)."""
     import numpy as np
 
     q = config.detection.on_probability(curve, config.probe_duration)
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    uniforms = rng.random((config.n_trajectories, config.n_max))
-    return (uniforms < q).astype(np.uint8)
+    limits = np.ceil(np.maximum(q, 0.0) * 2.0**53).astype(np.uint64)
+    words = np.random.Philox(key=config.seed).random_raw((config.n_trajectories, config.n_max))
+    words >>= 11
+    return (words < limits).view(np.uint8)
 
 
 def drive_series(
@@ -220,8 +224,9 @@ def accumulate(batch: TrajectoryBatch, z: float = 1.96) -> AccumulatedCurve:
     import numpy as np
 
     cfg = batch.config
-    counts = batch.outcomes.sum(0)
     n_traj = cfg.n_trajectories
+    # exact: a count never exceeds n_traj, which this type holds
+    counts = batch.outcomes.sum(0, dtype=np.min_scalar_type(n_traj))
     lo, hi = wilson_interval(counts, n_traj, z)
     n = np.arange(1, cfg.n_max + 1)
     tau = n * cfg.dt_unit
@@ -275,13 +280,13 @@ def write_trajectories(path, batch: TrajectoryBatch) -> None:
     per trajectory (trajectory index order)."""
     import numpy as np
 
-    items = asdict(batch.config)
-    items.update((f"detection.{k}", v) for k, v in items.pop("detection").items())
-    header = [f"omega_mw={batch.omega_mw!r}", *(f"{k}={v!r}" for k, v in items.items()),
+    cfg, det = batch.config, batch.config.detection
+    items = [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name != "detection"]
+    items += [(f"detection.{f.name}", getattr(det, f.name)) for f in fields(det)]
+    header = [f"omega_mw={batch.omega_mw!r}", *(f"{k}={v!r}" for k, v in items),
               f"rng_stream={RNG_STREAM}"]
-    rows = np.full((batch.config.n_trajectories, batch.config.n_max + 1),
-                   ord("\n"), dtype=np.uint8)
-    rows[:, :-1] = batch.outcomes + ord("0")
+    rows = np.full((cfg.n_trajectories, cfg.n_max + 1), ord("\n"), dtype=np.uint8)
+    np.add(batch.outcomes, ord("0"), out=rows[:, :-1])
     with open(path, "wb") as fh:
         fh.write(format_header(header).encode())
         fh.write(rows.tobytes())

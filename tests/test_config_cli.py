@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 import math
 import os
@@ -147,6 +149,23 @@ class TestRunConfig:
     def test_hash_pinned(self, doc, digest):
         cfg = RunConfig.parse(doc) if isinstance(doc, str) else RunConfig(doc)
         assert cfg.hash() == digest
+
+    def test_set_path_changes_only_its_own_config(self):
+        # a config copies DEFAULTS section by section: setting every leaf of
+        # one reaches neither DEFAULTS nor another config, and both keep the
+        # hash and serialized bytes they had when DEFAULTS was deep-copied
+        defaults = copy.deepcopy(DEFAULTS)
+        changed, untouched = RunConfig(), RunConfig()
+        for section, keys in DEFAULTS.items():
+            for key, value in keys.items():
+                new = {str: "changed", int: 1, float: 1.0, type(None): 1.0}[type(value)]
+                changed.set_path(f"{section}.{key}", new)
+        assert DEFAULTS == defaults
+        assert untouched.data == RunConfig().data == defaults
+        for cfg, digest, text_digest in ((changed, "2a5e91e6813632ba", "6e3479419f7d0d50"),
+                                         (untouched, "5f2de6c9ace12bf5", "16e9cf132883453c")):
+            assert cfg.hash() == digest
+            assert hashlib.sha256(cfg.serialize().encode()).hexdigest()[:16] == text_digest
 
     def test_set_path_rejects_unknown(self):
         cfg = RunConfig()

@@ -5,6 +5,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iondeco.dynamics import SystemState, integrate
 from iondeco.model import TWO_PI_KHZ, PhysicalParams, ScatteringRates, scattering_rates
@@ -95,6 +97,34 @@ class TestDeterminism:
         batch = run_trajectories(params, rates, cfg, model="adiabatic")
         q = cfg.detection.on_probability(batch.p1_curve, cfg.probe_duration)
         np.testing.assert_array_equal(batch.outcomes, u.reshape(batch.outcomes.shape) < q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), shape=st.tuples(st.integers(1, 12),
+                                                           st.integers(1, 30)),
+           data=st.data())
+    def test_integer_draw_is_generator_random(self, seed, shape, data):
+        # each bit compares the top 53 bits of a raw Philox word with
+        # ceil(q 2**53); it must equal Generator.random() < q, including at
+        # q = 0, 1, just outside [0, 1], and at q equal to a uniform of the
+        # stream (a tie: 0, as the comparison is strict) or one ulp above it
+        n_traj, n_max = shape
+        cfg = ProtocolConfig(n_max=n_max, n_trajectories=n_traj, seed=seed)
+        u = np.random.Generator(np.random.Philox(key=seed)).random(shape)
+        edges = st.sampled_from([0.0, 1.0, -1e-12, 1e-12, 1 - 1e-12, 1 + 1e-12])
+        q = np.array(data.draw(st.lists(edges | st.floats(0, 1),
+                                        min_size=n_max, max_size=n_max)))
+        ties = data.draw(st.lists(st.tuples(st.integers(0, n_traj - 1),
+                                            st.integers(0, n_max - 1), st.booleans()),
+                                  unique_by=lambda tie: tie[1]))
+        for k, n, above in ties:
+            q[n] = np.nextafter(u[k, n], 2.0) if above else u[k, n]
+        batch = replay(TrajectoryBatch(cfg, OMEGA, q, np.empty((0, 0), np.uint8)))
+        assert batch.outcomes.dtype == np.uint8
+        assert np.isin(batch.outcomes, (0, 1)).all()
+        np.testing.assert_array_equal(
+            batch.outcomes, u < cfg.detection.on_probability(q, cfg.probe_duration))
+        for k, n, above in ties:
+            assert batch.outcomes[k, n] == above
 
     def test_zero_light_pi_pulse_always_on(self):
         params = PhysicalParams(omega_mw=OMEGA, gamma3=18e3 * TWO_PI_KHZ)
@@ -204,6 +234,21 @@ class TestAccumulate:
         curve = accumulate(synthetic_batch(0.8, cfg), z=2.576)  # 99%
         covered = np.mean((curve.ci_low <= 0.8) & (0.8 <= curve.ci_high))
         assert covered > 0.95
+
+    @pytest.mark.parametrize("n_traj", [255, 256, 65535, 65536])
+    def test_narrow_counts_are_exact(self, n_traj):
+        # counts are summed in the narrowest type that holds n_trajectories;
+        # a column of all ones reaches that type's largest value at 255 / 65535
+        cfg = ProtocolConfig(dt_unit=1e-6, n_max=4, n_trajectories=n_traj, seed=8)
+        batch = replay(TrajectoryBatch(cfg, OMEGA, np.array([0.0, 0.3, 0.5, 1.0]),
+                                       np.empty((0, 0), np.uint8)))
+        counts = batch.outcomes.sum(0, dtype=np.int64)
+        lo, hi = wilson_interval(counts, n_traj)
+        curve = accumulate(batch)
+        assert counts[-1] == n_traj
+        np.testing.assert_array_equal(curve.p1_mean, counts / n_traj)
+        np.testing.assert_array_equal(curve.ci_low, lo)
+        np.testing.assert_array_equal(curve.ci_high, hi)
 
     def test_consistent_with_deterministic_curve(self, setup):
         params, rates, cfg = setup
